@@ -7,6 +7,7 @@
 #include <cstdlib>
 
 #include <stdexcept>
+#include <unordered_map>
 
 #include "model/serialize.h"
 #include "support/binary_io.h"
@@ -671,23 +672,25 @@ core::Artifacts BatchAnalyzer::fulfill(const core::AnalysisSpec &spec,
   return artifacts;
 }
 
-core::Artifacts BatchAnalyzer::analyzeSpec(const core::AnalysisSpec &spec) {
-  auto start = std::chrono::steady_clock::now();
-
+void BatchAnalyzer::record(const core::Artifacts &artifacts) {
   // Lifetime tallies live in the registry so concurrent entry points
   // (the daemon's analyzeArtifacts) observe the same counters that
   // runArtifacts() turns into a per-run BatchStats via deltas.
-  const auto record = [this](const core::Artifacts &artifacts) {
-    requests_.increment();
-    if (!artifacts.ok)
-      failures_.increment();
-    if (options_.useCache) {
-      if (artifacts.cacheHit)
-        cache_hits_.increment();
-      else
-        computed_.increment();
-    }
-  };
+  requests_.increment();
+  if (!artifacts.ok)
+    failures_.increment();
+  if (options_.useCache) {
+    if (artifacts.cacheHit)
+      cache_hits_.increment();
+    else
+      computed_.increment();
+  }
+}
+
+core::Artifacts
+BatchAnalyzer::analyzeSpec(const core::AnalysisSpec &spec, std::uint64_t key,
+                           std::shared_ptr<const CacheValue> *resolved) {
+  auto start = std::chrono::steady_clock::now();
 
   if (!options_.useCache) {
     CacheValue value = computeValue(spec);
@@ -697,7 +700,6 @@ core::Artifacts BatchAnalyzer::analyzeSpec(const core::AnalysisSpec &spec) {
     return artifacts;
   }
 
-  const std::uint64_t key = requestKey(spec);
   std::promise<std::shared_ptr<const CacheValue>> promise;
   CacheFuture future;
   bool producer = false;
@@ -763,12 +765,58 @@ core::Artifacts BatchAnalyzer::analyzeSpec(const core::AnalysisSpec &spec) {
   }
   artifacts.seconds = secondsSince(start);
   record(artifacts);
+  if (resolved)
+    *resolved = std::move(value);
   return artifacts;
 }
 
 core::Artifacts
 BatchAnalyzer::analyzeArtifacts(const core::AnalysisSpec &spec) {
-  return analyzeSpec(spec);
+  return analyzeSpec(spec, options_.useCache ? requestKey(spec) : 0,
+                     nullptr);
+}
+
+std::vector<BatchAnalyzer::SpecGroup>
+BatchAnalyzer::groupSpecs(const std::vector<core::AnalysisSpec> &specs) const {
+  std::vector<SpecGroup> groups;
+  groups.reserve(specs.size());
+  if (!options_.useCache) {
+    for (std::size_t i = 0; i < specs.size(); ++i)
+      groups.push_back({0, {i}});
+    return groups;
+  }
+  std::unordered_map<std::uint64_t, std::size_t> groupOf;
+  groupOf.reserve(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const std::uint64_t key = requestKey(specs[i]);
+    const auto [it, fresh] = groupOf.emplace(key, groups.size());
+    if (fresh)
+      groups.push_back({key, {i}});
+    else
+      groups[it->second].members.push_back(i);
+  }
+  return groups;
+}
+
+void BatchAnalyzer::analyzeGroup(const std::vector<core::AnalysisSpec> &specs,
+                                 const SpecGroup &group,
+                                 std::vector<core::Artifacts> &results) {
+  const std::size_t first = group.members.front();
+  std::shared_ptr<const CacheValue> value;
+  results[first] = analyzeSpec(specs[first], group.key, &value);
+  for (std::size_t k = 1; k < group.members.size(); ++k) {
+    const std::size_t i = group.members[k];
+    if (!value) {
+      // Resolving the first request threw, so there is no value to
+      // share; the duplicate resolves on its own.
+      results[i] = analyzeSpec(specs[i], group.key, nullptr);
+      continue;
+    }
+    const auto start = std::chrono::steady_clock::now();
+    results[i] = fulfill(specs[i], *value, /*cacheHit=*/true);
+    results[i].seconds = secondsSince(start);
+    record(results[i]);
+  }
 }
 
 std::vector<core::Artifacts> BatchAnalyzer::analyzeArtifactsMany(
@@ -776,6 +824,7 @@ std::vector<core::Artifacts> BatchAnalyzer::analyzeArtifactsMany(
   std::vector<core::Artifacts> results(specs.size());
   if (specs.empty())
     return results;
+  const std::vector<SpecGroup> groups = groupSpecs(specs);
   // A per-call latch instead of pool_.waitIdle(): concurrent callers
   // must each wait for exactly their own tasks. Workers hold shared
   // ownership so the state outlives this frame even if a worker is
@@ -786,10 +835,10 @@ std::vector<core::Artifacts> BatchAnalyzer::analyzeArtifactsMany(
     std::size_t remaining;
   };
   auto latch = std::make_shared<Latch>();
-  latch->remaining = specs.size();
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    pool_.submit([this, &specs, &results, latch, i] {
-      results[i] = analyzeSpec(specs[i]);
+  latch->remaining = groups.size();
+  for (const SpecGroup &group : groups) {
+    pool_.submit([this, &specs, &results, &group, latch] {
+      analyzeGroup(specs, group, results);
       std::lock_guard<std::mutex> lock(latch->mutex);
       if (--latch->remaining == 0)
         latch->done.notify_all();
@@ -804,9 +853,10 @@ std::vector<core::Artifacts>
 BatchAnalyzer::runArtifacts(const std::vector<core::AnalysisSpec> &specs) {
   auto start = std::chrono::steady_clock::now();
   std::vector<core::Artifacts> results(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    pool_.submit([this, &specs, &results, i] {
-      results[i] = analyzeSpec(specs[i]);
+  const std::vector<SpecGroup> groups = groupSpecs(specs);
+  for (const SpecGroup &group : groups) {
+    pool_.submit([this, &specs, &results, &group] {
+      analyzeGroup(specs, group, results);
     });
   }
   pool_.waitIdle();
@@ -822,7 +872,7 @@ BatchAnalyzer::runArtifacts(const std::vector<core::AnalysisSpec> &specs) {
 }
 
 AnalysisOutcome BatchAnalyzer::analyzeSingle(const AnalysisRequest &request) {
-  return toOutcome(analyzeSpec(toSpec(request)));
+  return toOutcome(analyzeArtifacts(toSpec(request)));
 }
 
 std::vector<AnalysisOutcome>

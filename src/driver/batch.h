@@ -394,9 +394,37 @@ private:
   };
   using CacheFuture = std::shared_future<std::shared_ptr<const CacheValue>>;
 
-  /// Resolve one spec through the plan (memory → disk → recompile →
-  /// full compute) and fulfill its artifact mask.
-  core::Artifacts analyzeSpec(const core::AnalysisSpec &spec);
+  /// Resolve one spec, whose request key the caller computed (unused
+  /// with the cache off), through the plan (memory → disk → recompile →
+  /// full compute) and fulfill its artifact mask. `resolved`, when
+  /// non-null, receives the cache value the result was served from
+  /// (null if resolving it threw).
+  core::Artifacts analyzeSpec(const core::AnalysisSpec &spec,
+                              std::uint64_t key,
+                              std::shared_ptr<const CacheValue> *resolved);
+
+  /// The specs of one fan-out call that share a request key, in input
+  /// order. With the cache off every spec is its own group.
+  struct SpecGroup {
+    std::uint64_t key = 0;
+    std::vector<std::size_t> members;
+  };
+
+  /// Group `specs` by request key, keyed on the calling thread. Only a
+  /// group's first member is resolved through the plan; the rest are
+  /// fulfilled from its value, so which request of a call produced an
+  /// entry never depends on worker scheduling.
+  std::vector<SpecGroup>
+  groupSpecs(const std::vector<core::AnalysisSpec> &specs) const;
+
+  /// One pool task of a fan-out call: resolve the group's first member,
+  /// then serve the duplicates from the same value as cache hits.
+  void analyzeGroup(const std::vector<core::AnalysisSpec> &specs,
+                    const SpecGroup &group,
+                    std::vector<core::Artifacts> &results);
+
+  /// Count one finished request in the lifetime registry.
+  void record(const core::Artifacts &artifacts);
 
   /// Serve `spec`'s artifacts out of a resolved cache value.
   core::Artifacts fulfill(const core::AnalysisSpec &spec,

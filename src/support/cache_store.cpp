@@ -120,11 +120,17 @@ std::optional<std::string> CacheStore::loadRange(std::uint64_t key,
   if (!usable_)
     return miss();
   const std::string path = pathForKey(key);
-  std::ifstream in(path, std::ios::binary);
+  // One read sized from the file length; the header is then dropped in
+  // place, so a hit allocates and fills the returned string once.
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in)
     return miss();
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+  const std::streamoff end = in.tellg();
+  const std::uint64_t fileSize = end > 0 ? static_cast<std::uint64_t>(end) : 0;
+  std::string bytes(fileSize, '\0');
+  in.seekg(0);
+  const bool readAll = static_cast<bool>(
+      in.read(bytes.data(), static_cast<std::streamsize>(fileSize)));
   in.close();
 
   // Every rejection below is some flavor of corruption (truncation, a
@@ -140,9 +146,11 @@ std::optional<std::string> CacheStore::loadRange(std::uint64_t key,
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.corrupt;
     ++stats_.misses;
-    approx_bytes_ -= std::min<std::uint64_t>(approx_bytes_, bytes.size());
+    approx_bytes_ -= std::min(approx_bytes_, fileSize);
     return std::nullopt;
   };
+  if (!readAll)
+    return reject();
 
   bio::Reader header{bytes, 0};
   std::uint32_t magic = 0;
@@ -165,8 +173,8 @@ std::optional<std::string> CacheStore::loadRange(std::uint64_t key,
   }
   if (bytes.size() != kHeaderSize + payloadSize)
     return reject();
-  std::string payload = bytes.substr(kHeaderSize);
-  if (fnv1a(payload) != payloadHash)
+  bytes.erase(0, kHeaderSize);
+  if (fnv1a(bytes) != payloadHash)
     return reject();
 
   if (touch) {
@@ -176,7 +184,7 @@ std::optional<std::string> CacheStore::loadRange(std::uint64_t key,
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.hits;
   }
-  return payload;
+  return bytes;
 }
 
 std::optional<std::uint32_t>
@@ -305,6 +313,13 @@ void CacheStore::evictToFit(std::uint64_t protectedKey) {
   // incremental approx_bytes_ estimate after any concurrent-replace
   // drift.
   std::lock_guard<std::mutex> evictLock(evict_mutex_);
+  {
+    // Stores that went over the cap while another pass ran were absorbed
+    // by its slack; only a store still over the cap pays for a scan.
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (approx_bytes_ <= bytes_limit_)
+      return;
+  }
   struct Entry {
     fs::path path;
     fs::file_time_type mtime;
@@ -339,13 +354,17 @@ void CacheStore::evictToFit(std::uint64_t protectedKey) {
   }
   std::size_t evicted = 0;
   if (total > bytes_limit_) {
+    // Trim to a low-water mark below the cap, not just under it: the
+    // slack absorbs the next ~10% of the cap's worth of stores, so one
+    // directory scan pays for many of them instead of one.
+    const std::uint64_t lowWater = bytes_limit_ - bytes_limit_ / 10;
     std::sort(entries.begin(), entries.end(), [](const Entry &a,
                                                  const Entry &b) {
       return a.mtime < b.mtime;
     });
     const std::string keep = keyFileName(protectedKey);
     for (const Entry &entry : entries) {
-      if (total <= bytes_limit_)
+      if (total <= lowWater)
         break;
       if (entry.path.filename().string() == keep)
         continue;

@@ -1,6 +1,6 @@
 /// \file
 /// Persistent on-disk cache: one file per 64-bit key, atomic writes,
-/// versioned headers, LRU size-capped eviction.
+/// versioned headers, LRU size-capped eviction to a low-water mark.
 ///
 /// CacheStore is payload-agnostic (it stores byte strings); the driver
 /// layers the AnalysisOutcome serializer (model/serialize.h) on top of
@@ -57,10 +57,15 @@ struct CacheStoreStats {
 /// internal mutex guards only the counters, so parallel warm-run loads
 /// proceed concurrently.
 ///
-/// Eviction: when `bytesLimit` is non-zero, store() evicts
-/// least-recently-used entries (by file modification time; load() bumps
-/// it) until the directory fits the cap. The newly stored entry itself is
-/// never evicted by its own store() call.
+/// Eviction: when `bytesLimit` is non-zero and a store() pushes the
+/// directory over the cap, that store scans the directory once and
+/// evicts least-recently-used entries down to a low-water mark of 90% of
+/// the cap, so the following ~10% of the cap's worth of stores fit
+/// without another scan. Recency is the file modification time (load()
+/// bumps it), never an in-process index: every CacheStore, in this
+/// process or another, that shares the directory sees the others' loads.
+/// The newly stored entry itself is never evicted by its own store()
+/// call.
 class CacheStore {
 public:
   /// Opens (and creates, if needed) the cache directory. `bytesLimit` of
@@ -159,9 +164,10 @@ private:
   mutable std::mutex mutex_;
   CacheStoreStats stats_;
   /// Running estimate of on-disk bytes, maintained incrementally so
-  /// store() does not rescan the directory per call. Concurrent
-  /// replacements can make it drift; each eviction pass resynchronizes
-  /// it to the measured total.
+  /// store() does not rescan the directory per call; only an estimate
+  /// above the cap triggers an eviction pass. Concurrent replacements
+  /// and other instances writing the same directory can make it drift;
+  /// each eviction pass resynchronizes it to the measured total.
   std::uint64_t approx_bytes_ = 0;
   /// Serializes eviction passes (the only directory-scanning writers).
   std::mutex evict_mutex_;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -124,6 +125,23 @@ TEST(CacheStoreTest, TruncatedEntryIsAMissAndRemoved) {
   ASSERT_TRUE(store.store(5, "again"));
   fs::resize_file(onlyEntry(dir.path), 3);
   EXPECT_FALSE(store.load(5).has_value());
+
+  // A zero-length entry file.
+  ASSERT_TRUE(store.store(5, "again"));
+  file = onlyEntry(dir.path);
+  fs::resize_file(file, 0);
+  EXPECT_FALSE(store.load(5).has_value());
+  EXPECT_EQ(store.stats().corrupt, 3u);
+  EXPECT_FALSE(fs::exists(file)) << "empty entry should be unlinked";
+
+  // Trailing bytes after a well-formed payload: the header's length no
+  // longer matches the file's.
+  ASSERT_TRUE(store.store(5, "again"));
+  file = onlyEntry(dir.path);
+  std::ofstream(file, std::ios::binary | std::ios::app) << "trailing";
+  EXPECT_FALSE(store.load(5).has_value());
+  EXPECT_EQ(store.stats().corrupt, 4u);
+  EXPECT_FALSE(fs::exists(file)) << "overlong entry should be unlinked";
 }
 
 TEST(CacheStoreTest, WrongSchemaVersionIsAMissButNotDestroyed) {
@@ -310,6 +328,89 @@ TEST(CacheStoreTest, LruEvictionKeepsRecentEntries) {
   EXPECT_TRUE(store.load(1).has_value());
   EXPECT_FALSE(store.load(2).has_value());
   EXPECT_TRUE(store.load(3).has_value());
+}
+
+/// Path of `key`'s entry file (the `<16 hex>.mira` naming contract).
+fs::path entryFile(const TempDir &dir, std::uint64_t key) {
+  char name[32];
+  std::snprintf(name, sizeof(name), "%016llx.mira",
+                static_cast<unsigned long long>(key));
+  return dir.path / name;
+}
+
+/// Stamp `key`'s entry with an mtime `offset` away from now, so LRU
+/// order is explicit instead of depending on mtime granularity.
+void setAge(const TempDir &dir, std::uint64_t key,
+            std::chrono::seconds offset) {
+  fs::last_write_time(entryFile(dir, key),
+                      fs::file_time_type::clock::now() + offset);
+}
+
+TEST(CacheStoreTest, EvictionTrimsToLowWaterMark) {
+  TempDir dir("lowwater");
+  const std::string payload(512, 'x'); // 536-byte entries
+  constexpr std::uint64_t kEntry = 512 + 24;
+  constexpr std::uint64_t kCap = 10 * kEntry;
+  constexpr std::uint64_t kLowWater = kCap - kCap / 10;
+  CacheStore store(dir.str(), kCap);
+  for (std::uint64_t key = 1; key <= 10; ++key)
+    ASSERT_TRUE(store.store(key, payload));
+  EXPECT_EQ(store.totalBytes(), kCap);
+  EXPECT_EQ(store.stats().evictions, 0u) << "at the cap is not over it";
+
+  // Entry k is k minutes in the future, so 1 is the oldest of these and
+  // the next store's own entry (stamped now) is older than all of them.
+  for (std::uint64_t key = 1; key <= 10; ++key)
+    setAge(dir, key, std::chrono::minutes(key));
+
+  // (a) One over-cap store trims to the low-water mark, oldest first,
+  // and skips the entry it just wrote.
+  ASSERT_TRUE(store.store(11, payload));
+  EXPECT_LE(store.totalBytes(), kLowWater);
+  EXPECT_EQ(store.stats().evictions, 2u);
+  EXPECT_FALSE(fs::exists(entryFile(dir, 1)));
+  EXPECT_FALSE(fs::exists(entryFile(dir, 2)));
+  for (std::uint64_t key = 3; key <= 11; ++key)
+    EXPECT_TRUE(fs::exists(entryFile(dir, key))) << "key " << key;
+
+  // (b) The slack absorbs the next store without another pass.
+  ASSERT_TRUE(store.store(12, payload));
+  EXPECT_EQ(store.totalBytes(), kCap);
+  EXPECT_EQ(store.stats().evictions, 2u);
+
+  // An entry bigger than the low-water mark on its own: everything else
+  // goes, the protected entry stays.
+  ASSERT_TRUE(store.store(13, std::string(kCap, 'y')));
+  EXPECT_EQ(store.keys(), std::vector<std::uint64_t>{13});
+  EXPECT_EQ(store.stats().evictions, 12u);
+}
+
+TEST(CacheStoreTest, EvictionSeesRecencyFromAnotherInstance) {
+  TempDir dir("crossinstance");
+  const std::string payload(512, 'x');
+  constexpr std::uint64_t kCap = 10 * (512 + 24);
+  constexpr std::uint64_t kX = 1;
+  {
+    CacheStore writer(dir.str());
+    for (std::uint64_t key = 1; key <= 10; ++key)
+      ASSERT_TRUE(writer.store(key, payload));
+  }
+  // X is the oldest entry by far; the rest are about an hour old, 2
+  // the oldest of them.
+  setAge(dir, kX, -std::chrono::hours(2));
+  for (std::uint64_t key = 2; key <= 10; ++key)
+    setAge(dir, key, -std::chrono::hours(1) + std::chrono::minutes(key));
+
+  CacheStore a(dir.str(), kCap);
+  CacheStore b(dir.str(), kCap);
+  ASSERT_TRUE(a.load(kX).has_value()); // A's use makes X the newest
+
+  // B never saw that load in-process; the mtime must carry it.
+  ASSERT_TRUE(b.store(11, payload));
+  EXPECT_GT(b.stats().evictions, 0u);
+  EXPECT_TRUE(fs::exists(entryFile(dir, kX)))
+      << "evicted the entry another instance just used";
+  EXPECT_FALSE(fs::exists(entryFile(dir, 2))) << "oldest unused entry";
 }
 
 TEST(CacheStoreTest, ConcurrentWritersNeverProduceTornReads) {

@@ -270,6 +270,33 @@ TEST(BatchAnalyzerTest, CachedDiagnosticsNameTheirProducer) {
       << outcomes[1].diagnostics;
 }
 
+TEST(BatchAnalyzerTest, FirstDuplicateInACallIsAlwaysTheProducer) {
+  // Which duplicate produces the entry must not depend on which pool
+  // task a worker happens to pick up first: the first occurrence in
+  // input order computes, every later one is a hit citing it.
+  const std::vector<AnalysisRequest> requests{
+      makeRequest("int broken(", "first.mc"),
+      makeRequest(workloads::fig5Source(), "fig5.mc"),
+      makeRequest("int broken(", "second.mc"),
+      makeRequest("int broken(", "third.mc")};
+  for (int round = 0; round < 20; ++round) {
+    BatchAnalyzer analyzer(BatchOptions{4, true});
+    const auto outcomes = round % 2 == 0 ? analyzer.run(requests)
+                                         : analyzer.analyzeMany(requests);
+    ASSERT_EQ(outcomes.size(), 4u);
+    EXPECT_FALSE(outcomes[0].cacheHit) << "round " << round;
+    EXPECT_EQ(outcomes[0].diagnostics.find("identical source"),
+              std::string::npos)
+        << outcomes[0].diagnostics;
+    for (std::size_t i : {2u, 3u}) {
+      EXPECT_TRUE(outcomes[i].cacheHit) << "round " << round << ", " << i;
+      EXPECT_NE(outcomes[i].diagnostics.find("identical source 'first.mc'"),
+                std::string::npos)
+          << outcomes[i].diagnostics;
+    }
+  }
+}
+
 TEST(BatchAnalyzerTest, DuplicateRequestsShareOneAnalysis) {
   AnalysisRequest request = makeRequest(workloads::fig5Source(), "fig5");
   std::vector<AnalysisRequest> requests{request, request, request};
