@@ -99,7 +99,12 @@ Artifacts analyze(const AnalysisSpec &spec, DiagnosticEngine &diags) {
     // and diagnostics through this path stay byte-identical to v1
     // results (pinned by tests/artifact_test.cpp).
     auto result = std::make_shared<AnalysisResult>();
-    result->program = program;
+    // The view keeps the program (AST through bridge) only when asked.
+    // Otherwise the program handle is its only owner, so a result kept
+    // for its model holds no IR, and the IR is freed wherever the
+    // handle is dropped (on the worker, for a no-cache batch).
+    if (spec.artifacts & kArtifactProgram)
+      result->program = program;
     result->model = metrics::generateModel(
         *program->unit, program->sema.callGraph, *program->bridge,
         spec.options.metrics, diags, spec.options.modelPool);

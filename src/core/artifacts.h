@@ -163,8 +163,11 @@ struct Artifacts {
   /// kArtifactSimulation: executed with AnalysisSpec::simulation.
   std::shared_ptr<const sim::SimResult> simulation;
   /// Compatibility view for v1 consumers (AnalysisOutcome::analysis):
-  /// the same model (and program, when live) as an AnalysisResult. Null
-  /// when !ok or when the model was not produced.
+  /// the same model as an AnalysisResult. Its `program` is set only when
+  /// kArtifactProgram was requested and the program is live; otherwise
+  /// it is null and `program` above is the only owner of the compiled
+  /// IR, so a result kept for its model pins no IR. Null when !ok or
+  /// when the model was not produced.
   std::shared_ptr<const AnalysisResult> resultV1;
   double seconds = 0; ///< wall time spent fulfilling this spec
 

@@ -63,10 +63,11 @@ struct MiraOptions {
   ThreadPool *modelPool = nullptr;
 };
 
-/// v1 result shape: a model plus (when computed in-process) the live
-/// compiled program. Cache layers may restore the model without the
-/// program (`program == nullptr`); the v2 API's ProgramHandle
-/// (core/artifacts.h) is how such results regain a program on demand.
+/// v1 result shape: a model plus (when computed in-process under
+/// kArtifactProgram) the live compiled program. Cache layers may restore
+/// the model without the program (`program == nullptr`); the v2 API's
+/// ProgramHandle (core/artifacts.h) is how such results regain a program
+/// on demand.
 struct AnalysisResult {
   /// Shared const since the v2 redesign: the same compiled program backs
   /// this result, the batch cache, and any ProgramHandle. Deref/null

@@ -69,10 +69,13 @@ struct AnalysisOutcome {
   /// earlier run (disk hit).
   bool cacheHit = false;
   /// Shared with the cache and any duplicate requests; null when !ok.
-  /// Disk-cache hits restore the model and diagnostics but NOT the
-  /// compiled program (AnalysisResult::program is null): v1 consumers
-  /// that need the AST or binary must analyze without the disk layer,
-  /// or migrate to the artifact API whose ProgramHandle recompiles on
+  /// AnalysisResult::program is set only for values computed live with
+  /// the memory cache on (full compute always keeps the program there).
+  /// It is null for disk-cache hits, which restore the model and
+  /// diagnostics only, and for no-cache runs, which free each program
+  /// on the worker that built it. v1 consumers that need the AST or
+  /// binary should migrate to the artifact API: request
+  /// kArtifactProgram, whose ProgramHandle is live or recompiles on
   /// demand (core/artifacts.h).
   std::shared_ptr<const core::AnalysisResult> analysis;
   /// Rendered diagnostics (warnings on success, errors on failure).
@@ -370,10 +373,11 @@ private:
     /// is set (full compute produces the model); on the no-cache path a
     /// mask without kArtifactModel yields ok values with no model.
     bool ok = false;
-    /// Legacy owner: model (+ program when computed live); null on
-    /// failure or when the model was not requested (no-cache path).
-    /// Disk restores leave analysis->program null — the handle below is
-    /// how programs come back.
+    /// Legacy owner: model (+ program when computed live with the
+    /// program bit, i.e. always with caching on); null on failure or
+    /// when the model was not requested (no-cache path). Disk restores
+    /// and no-cache computes leave analysis->program null — the handle
+    /// below is how programs come back.
     std::shared_ptr<const core::AnalysisResult> analysis;
     /// Aliases analysis->model; null on failure.
     std::shared_ptr<const model::PerformanceModel> model;

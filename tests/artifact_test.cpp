@@ -127,6 +127,27 @@ TEST(ArtifactApi, ResultV1ViewSharesTheModelByteForByte) {
   EXPECT_EQ(artifacts.diagnostics, again.diagnostics);
 }
 
+TEST(ArtifactApi, ResultV1KeepsTheProgramOnlyWhenAsked) {
+  // Without the program bit the compat view holds the model but no IR:
+  // the live handle is the program's only owner.
+  core::Artifacts modelOnly = core::analyze(fig5Spec(core::kArtifactDefault));
+  ASSERT_TRUE(modelOnly.ok) << modelOnly.diagnostics;
+  ASSERT_NE(modelOnly.resultV1, nullptr);
+  EXPECT_EQ(modelOnly.resultV1->program, nullptr);
+  ASSERT_NE(modelOnly.program, nullptr);
+  auto live = modelOnly.program->get();
+  ASSERT_NE(live, nullptr);
+  EXPECT_TRUE(live->unit != nullptr);
+
+  // With it, the view and the handle share one program.
+  core::Artifacts withProgram = core::analyze(
+      fig5Spec(core::kArtifactDefault | core::kArtifactProgram));
+  ASSERT_TRUE(withProgram.ok) << withProgram.diagnostics;
+  ASSERT_NE(withProgram.resultV1, nullptr);
+  ASSERT_NE(withProgram.resultV1->program, nullptr);
+  EXPECT_EQ(withProgram.resultV1->program, withProgram.program->get());
+}
+
 TEST(ArtifactApi, SkippingTheModelStillCompilesAndCovers) {
   core::Artifacts artifacts =
       core::analyze(fig5Spec(core::kArtifactCoverage));

@@ -362,6 +362,96 @@ TEST(BatchAnalyzerTest, CacheCanBeDisabled) {
   EXPECT_NE(outcomes[0].analysis, outcomes[1].analysis); // recomputed
 }
 
+// ------------------------------------------------------ result lifetime
+
+core::AnalysisSpec fig5Spec(core::ArtifactMask mask) {
+  core::AnalysisSpec spec;
+  spec.name = "fig5";
+  spec.source = workloads::fig5Source();
+  spec.artifacts = mask;
+  if (mask & core::kArtifactSimulation) {
+    spec.simulation.function = "fig5_main";
+    spec.simulation.args = {sim::Value::ofInt(64)};
+  }
+  return spec;
+}
+
+BatchOptions noCacheOptions() {
+  BatchOptions options;
+  options.threads = 2;
+  options.useCache = false;
+  return options;
+}
+
+TEST(BatchAnalyzerTest, NoCacheModelRunKeepsNoProgram) {
+  // Without the program bit nothing in the result owns the IR: each
+  // program is freed on the worker that built it.
+  BatchAnalyzer analyzer(noCacheOptions());
+  auto results = analyzer.runArtifacts({fig5Spec(core::kArtifactDefault),
+                                        fig5Spec(core::kArtifactDefault)});
+  for (const core::Artifacts &result : results) {
+    ASSERT_TRUE(result.ok) << result.diagnostics;
+    EXPECT_EQ(result.program, nullptr);
+    ASSERT_NE(result.resultV1, nullptr);
+    EXPECT_EQ(result.resultV1->program, nullptr);
+    EXPECT_NE(result.model, nullptr);
+  }
+}
+
+TEST(BatchAnalyzerTest, NoCacheProgramRequestKeepsALiveProgram) {
+  BatchAnalyzer analyzer(noCacheOptions());
+  auto results = analyzer.runArtifacts(
+      {fig5Spec(core::kArtifactDefault | core::kArtifactProgram)});
+  ASSERT_TRUE(results[0].ok) << results[0].diagnostics;
+  ASSERT_NE(results[0].program, nullptr);
+  EXPECT_TRUE(results[0].program->materialized());
+  auto program = results[0].program->get();
+  ASSERT_NE(program, nullptr);
+  ASSERT_NE(results[0].resultV1, nullptr);
+  EXPECT_EQ(results[0].resultV1->program, program);
+  EXPECT_EQ(analyzer.stats().recompiles, 0u);
+}
+
+TEST(BatchAnalyzerTest, NoCacheSimulationWithoutProgramStillSimulates) {
+  // fulfill() simulates on the worker-local handle, which is still live
+  // there even though the result will not carry it.
+  BatchAnalyzer analyzer(noCacheOptions());
+  auto results =
+      analyzer.runArtifacts({fig5Spec(core::kArtifactSimulation)});
+  ASSERT_TRUE(results[0].ok) << results[0].diagnostics;
+  ASSERT_NE(results[0].simulation, nullptr);
+  EXPECT_TRUE(results[0].simulation->ok) << results[0].simulation->error;
+  EXPECT_GT(results[0].simulation->total.totalInstructions, 0u);
+  EXPECT_EQ(results[0].program, nullptr);
+  EXPECT_EQ(analyzer.stats().recompiles, 0u);
+}
+
+TEST(BatchAnalyzerTest, CachedValueServesALaterProgramRequestLive) {
+  // With the cache on, full compute always keeps the program, so a
+  // model-only request leaves a value that later program requests share
+  // without recompiling.
+  BatchOptions options;
+  options.threads = 2;
+  BatchAnalyzer analyzer(options);
+  core::MetricsRegistry::Counter &recompiles =
+      analyzer.metrics().counter("analyzer_recompiles_total");
+  auto first = analyzer.runArtifacts({fig5Spec(core::kArtifactDefault)});
+  ASSERT_TRUE(first[0].ok) << first[0].diagnostics;
+  ASSERT_NE(first[0].resultV1, nullptr);
+  EXPECT_NE(first[0].resultV1->program, nullptr);
+  const std::uint64_t before = recompiles.value();
+
+  auto second = analyzer.runArtifacts(
+      {fig5Spec(core::kArtifactDefault | core::kArtifactProgram)});
+  ASSERT_TRUE(second[0].ok) << second[0].diagnostics;
+  EXPECT_TRUE(second[0].cacheHit);
+  ASSERT_NE(second[0].program, nullptr);
+  EXPECT_TRUE(second[0].program->materialized());
+  EXPECT_EQ(second[0].program->get(), first[0].resultV1->program);
+  EXPECT_FALSE(second[0].recompiled);
+  EXPECT_EQ(recompiles.value(), before);
+}
+
 TEST(BatchAnalyzerTest, CachedModelStillEvaluates) {
   // A cached AnalysisResult is shared const; evaluating it must work and
   // agree with a fresh serial analysis (paper FPI on the Fig. 5 model).
