@@ -14,8 +14,8 @@
 // the warm fresh-process-vs-warm-daemon gap, with the two cold reports
 // checked byte-identical), and
 // (f) the coverage artifact ladder: a full cold compute vs. the
-// recompile-on-demand path (what a schema-v1 cache entry degrades to)
-// vs. the schema-v2 summary served from a warm disk cache vs. a warm
+// recompile-on-demand path (what a cached value without a summary
+// degrades to) vs. the summary served from a warm disk cache vs. a warm
 // daemon answering over the wire (BM_CoverageWarmDaemon). On
 // multi-core hosts the 4-thread batch must beat serial by >1.5x; on
 // single-core containers the table still prints and flags the
@@ -42,31 +42,31 @@ namespace {
 
 using namespace mira;
 
-std::vector<driver::AnalysisRequest> batchRequests() {
-  std::vector<driver::AnalysisRequest> requests;
+std::vector<core::AnalysisSpec> batchSpecs() {
+  std::vector<core::AnalysisSpec> specs;
   for (const auto &kernel : workloads::coverageSuite()) {
-    driver::AnalysisRequest request;
-    request.name = kernel.name;
-    request.source = kernel.source;
-    requests.push_back(std::move(request));
+    core::AnalysisSpec spec;
+    spec.name = kernel.name;
+    spec.source = kernel.source;
+    specs.push_back(std::move(spec));
   }
   for (const auto &workload : workloads::figSeriesWorkloads()) {
-    driver::AnalysisRequest request;
-    request.name = workload.name;
-    request.source = *workload.source;
-    requests.push_back(std::move(request));
+    core::AnalysisSpec spec;
+    spec.name = workload.name;
+    spec.source = *workload.source;
+    specs.push_back(std::move(spec));
   }
-  return requests;
+  return specs;
 }
 
 /// Wall seconds for one cold batch (cache off so every request computes).
-double timeBatch(const std::vector<driver::AnalysisRequest> &requests,
+double timeBatch(const std::vector<core::AnalysisSpec> &specs,
                  std::size_t threads) {
   driver::BatchOptions options;
   options.threads = threads;
   options.useCache = false;
   driver::BatchAnalyzer analyzer(options);
-  auto outcomes = analyzer.run(requests);
+  auto outcomes = analyzer.runArtifacts(specs);
   for (const auto &outcome : outcomes) {
     if (!outcome.ok) {
       std::fprintf(stderr, "batch analysis of %s failed:\n%s\n",
@@ -81,16 +81,16 @@ void printSpeedupTable() {
   bench::printHeader(
       "Batch-analysis throughput: Table I kernels + fig-series workloads\n"
       "(cold cache; best of 3 batches per thread count)");
-  auto requests = batchRequests();
-  std::printf("%zu sources, %zu hardware threads\n\n", requests.size(),
+  auto specs = batchSpecs();
+  std::printf("%zu sources, %zu hardware threads\n\n", specs.size(),
               static_cast<std::size_t>(std::thread::hardware_concurrency()));
 
   double serialSeconds = 0;
   std::printf("%8s | %10s | %8s\n", "threads", "seconds", "speedup");
   for (std::size_t threads : {1, 2, 4, 8}) {
-    double best = timeBatch(requests, threads);
+    double best = timeBatch(specs, threads);
     for (int repeat = 0; repeat < 2; ++repeat)
-      best = std::min(best, timeBatch(requests, threads));
+      best = std::min(best, timeBatch(specs, threads));
     if (threads == 1)
       serialSeconds = best;
     std::printf("%8zu | %10.4f | %7.2fx\n", threads, best,
@@ -106,9 +106,9 @@ void printSpeedupTable() {
 
   // Cache fast path: a warm identical batch should be pure hits.
   driver::BatchAnalyzer analyzer(driver::BatchOptions{4, true});
-  analyzer.run(requests);
+  analyzer.runArtifacts(specs);
   double coldSeconds = analyzer.stats().wallSeconds;
-  analyzer.run(requests);
+  analyzer.runArtifacts(specs);
   std::printf("\ncache: cold %.4f s -> warm %.4f s (%zu hits / %zu miss)\n",
               coldSeconds, analyzer.stats().wallSeconds,
               analyzer.stats().cacheHits, analyzer.stats().cacheMisses);
@@ -127,13 +127,13 @@ void printSpeedupTable() {
   std::size_t warmHits = 0, warmMisses = 0, coldStores = 0;
   {
     driver::BatchAnalyzer cold(diskOptions);
-    cold.run(requests);
+    cold.runArtifacts(specs);
     diskCold = cold.stats().wallSeconds;
     coldStores = cold.stats().diskStores;
   }
   {
     driver::BatchAnalyzer warm(diskOptions);
-    warm.run(requests);
+    warm.runArtifacts(specs);
     diskWarm = warm.stats().wallSeconds;
     warmHits = warm.stats().diskHits;
     warmMisses = warm.stats().diskMisses;
@@ -192,10 +192,10 @@ void printSpeedupTable() {
     oneShot.threads = 1;
     auto start = now();
     driver::BatchAnalyzer fresh(oneShot); // a "new process" every time
-    driver::AnalysisRequest request;
-    request.name = "@minife";
-    request.source = daemonSource;
-    if (!fresh.analyzeSingle(request).ok)
+    core::AnalysisSpec spec;
+    spec.name = "@minife";
+    spec.source = daemonSource;
+    if (!fresh.analyzeArtifacts(spec).ok)
       std::abort();
     oneShotSeconds += elapsed(start);
   }
@@ -236,12 +236,12 @@ bool writeBenchCorpus(const std::filesystem::path &dir,
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
   std::filesystem::create_directories(dir, ec);
-  auto requests = batchRequests();
-  for (std::size_t i = 0; i < requests.size(); ++i) {
+  auto specs = batchSpecs();
+  for (std::size_t i = 0; i < specs.size(); ++i) {
     char name[32];
     std::snprintf(name, sizeof name, "src_%02zu.mc", i);
     std::ofstream out(dir / name, std::ios::binary);
-    out << requests[i].source;
+    out << specs[i].source;
     if (!out) {
       std::printf("manifest phase skipped: cannot write %s\n", name);
       return false;
@@ -291,20 +291,20 @@ void printManifestBatchPhase() {
   // the manifest content hashes. A fresh analyzer per call stands in
   // for a fresh process.
   auto runLocal = [&](const std::string &cacheDir) {
-    std::vector<driver::AnalysisRequest> local;
+    std::vector<core::AnalysisSpec> local;
     local.reserve(selection.entries.size());
     for (const auto &entry : selection.entries) {
-      driver::AnalysisRequest request;
-      request.name = entry.path;
+      core::AnalysisSpec spec;
+      spec.name = entry.path;
       std::ifstream in(corpusDir / entry.path, std::ios::binary);
-      request.source.assign(std::istreambuf_iterator<char>(in), {});
-      local.push_back(std::move(request));
+      spec.source.assign(std::istreambuf_iterator<char>(in), {});
+      local.push_back(std::move(spec));
     }
     driver::BatchOptions batchOptions;
     batchOptions.threads = 2;
     batchOptions.cacheDir = cacheDir;
     driver::BatchAnalyzer analyzer(batchOptions);
-    auto outcomes = analyzer.run(local);
+    auto outcomes = analyzer.runArtifacts(local);
     driver::BatchReport report;
     report.stats = analyzer.stats();
     report.entries.reserve(outcomes.size());
@@ -429,18 +429,18 @@ void printInternPhase() {
   bench::printHeader(
       "Hash-consed expressions: cold-phase cost + intern counters\n"
       "(cache off; counters are process-wide deltas over one batch)");
-  auto requests = batchRequests();
+  auto specs = batchSpecs();
 
   const symbolic::InternStats before = symbolic::ExprInterner::globalStats();
-  double best = timeBatch(requests, 1);
+  double best = timeBatch(specs, 1);
   for (int repeat = 0; repeat < 2; ++repeat)
-    best = std::min(best, timeBatch(requests, 1));
+    best = std::min(best, timeBatch(specs, 1));
   const symbolic::InternStats after = symbolic::ExprInterner::globalStats();
 
   const std::uint64_t hits = after.hits - before.hits;
   const std::uint64_t misses = after.misses - before.misses;
   std::printf("cold batch (1 thread, best of 3): %.4f s for %zu sources\n",
-              best, requests.size());
+              best, specs.size());
   std::printf("mira_intern_hits %llu\n",
               static_cast<unsigned long long>(hits));
   std::printf("mira_intern_misses %llu\n",
@@ -500,14 +500,9 @@ void printInternPhase() {
 }
 
 std::vector<core::AnalysisSpec> coverageSpecs() {
-  std::vector<core::AnalysisSpec> specs;
-  for (driver::AnalysisRequest &request : batchRequests()) {
-    core::AnalysisSpec spec;
-    spec.name = std::move(request.name);
-    spec.source = std::move(request.source);
+  std::vector<core::AnalysisSpec> specs = batchSpecs();
+  for (core::AnalysisSpec &spec : specs)
     spec.artifacts = core::kArtifactCoverage | core::kArtifactDiagnostics;
-    specs.push_back(std::move(spec));
-  }
   return specs;
 }
 
@@ -540,8 +535,8 @@ void printCoveragePhase() {
         std::abort();
   }
 
-  // Rung 2 — recompile-on-demand: what a schema-v1 cache entry (model
-  // only, no summary) degrades to — parse -> codegen, no model stage.
+  // Rung 2 — recompile-on-demand: what a cached value without a summary
+  // degrades to — parse -> codegen, no model stage.
   double recompileSeconds = 0;
   {
     auto start = now();
@@ -557,7 +552,7 @@ void printCoveragePhase() {
     recompileSeconds = elapsed(start);
   }
 
-  // Rung 3 — schema-v2 summary from a warm disk cache: deserialization
+  // Rung 3 — the summary from a warm disk cache: deserialization
   // only, no compiler at all.
   const std::string cacheDir =
       (std::filesystem::temp_directory_path() / "mira_bench_coverage")
@@ -624,10 +619,10 @@ void printCoveragePhase() {
   std::printf("%zu sources, ms/source:\n", specs.size());
   std::printf("  cold full compute       : %8.4f\n",
               coldSeconds * perSource);
-  std::printf("  recompile-on-demand (v1): %8.4f (%.1fx vs cold)\n",
+  std::printf("  recompile-on-demand     : %8.4f (%.1fx vs cold)\n",
               recompileSeconds * perSource,
               recompileSeconds > 0 ? coldSeconds / recompileSeconds : 0.0);
-  std::printf("  warm v2 summary         : %8.4f (%.1fx vs cold, "
+  std::printf("  warm summary            : %8.4f (%.1fx vs cold, "
               "%zu from summaries, %zu recompiles)\n",
               summarySeconds * perSource,
               summarySeconds > 0 ? coldSeconds / summarySeconds : 0.0,
@@ -684,7 +679,7 @@ void BM_CoverageWarmDaemon(benchmark::State &state) {
 BENCHMARK(BM_CoverageWarmDaemon)->Unit(benchmark::kMillisecond);
 
 void BM_CoverageRecompileOnDemand(benchmark::State &state) {
-  // The schema-v1 degradation path in isolation: parse -> sema ->
+  // The recompile-on-demand path in isolation: parse -> sema ->
   // codegen (no model generation) plus one AST walk, per iteration.
   const std::string &source = workloads::fig5Source();
   for (auto _ : state) {
@@ -791,7 +786,7 @@ void BM_ManifestBatchWarmDaemon(benchmark::State &state) {
 BENCHMARK(BM_ManifestBatchWarmDaemon)->Unit(benchmark::kMillisecond);
 
 void BM_BatchAnalyzeWarmDiskCache(benchmark::State &state) {
-  auto requests = batchRequests();
+  auto specs = batchSpecs();
   const std::string cacheDir =
       (std::filesystem::temp_directory_path() / "mira_bench_disk_cache_bm")
           .string();
@@ -801,37 +796,37 @@ void BM_BatchAnalyzeWarmDiskCache(benchmark::State &state) {
   options.cacheDir = cacheDir;
   {
     driver::BatchAnalyzer seed(options);
-    seed.run(requests); // populate the directory
+    seed.runArtifacts(specs); // populate the directory
   }
   for (auto _ : state) {
     // A fresh analyzer per iteration: every request goes memory-miss ->
     // disk-hit, timing deserialization rather than analysis.
     driver::BatchAnalyzer analyzer(options);
-    auto outcomes = analyzer.run(requests);
+    auto outcomes = analyzer.runArtifacts(specs);
     benchmark::DoNotOptimize(outcomes.size());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(requests.size()));
+                          static_cast<std::int64_t>(specs.size()));
   std::filesystem::remove_all(cacheDir);
 }
 BENCHMARK(BM_BatchAnalyzeWarmDiskCache)->Unit(benchmark::kMillisecond);
 
 void BM_BatchAnalyzeSerial(benchmark::State &state) {
-  auto requests = batchRequests();
+  auto specs = batchSpecs();
   for (auto _ : state)
-    benchmark::DoNotOptimize(timeBatch(requests, 1));
+    benchmark::DoNotOptimize(timeBatch(specs, 1));
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(requests.size()));
+                          static_cast<std::int64_t>(specs.size()));
 }
 BENCHMARK(BM_BatchAnalyzeSerial)->Unit(benchmark::kMillisecond);
 
 void BM_BatchAnalyzeParallel(benchmark::State &state) {
-  auto requests = batchRequests();
+  auto specs = batchSpecs();
   const auto threads = static_cast<std::size_t>(state.range(0));
   for (auto _ : state)
-    benchmark::DoNotOptimize(timeBatch(requests, threads));
+    benchmark::DoNotOptimize(timeBatch(specs, threads));
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(requests.size()));
+                          static_cast<std::int64_t>(specs.size()));
 }
 BENCHMARK(BM_BatchAnalyzeParallel)->Arg(2)->Arg(4)->Arg(8)->Unit(
     benchmark::kMillisecond);
@@ -868,15 +863,15 @@ void BM_ExprEqualsInterned(benchmark::State &state) {
 BENCHMARK(BM_ExprEqualsInterned)->Unit(benchmark::kNanosecond);
 
 void BM_BatchAnalyzeWarmCache(benchmark::State &state) {
-  auto requests = batchRequests();
+  auto specs = batchSpecs();
   driver::BatchAnalyzer analyzer(driver::BatchOptions{4, true});
-  analyzer.run(requests); // populate
+  analyzer.runArtifacts(specs); // populate
   for (auto _ : state) {
-    auto outcomes = analyzer.run(requests);
+    auto outcomes = analyzer.runArtifacts(specs);
     benchmark::DoNotOptimize(outcomes.size());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(requests.size()));
+                          static_cast<std::int64_t>(specs.size()));
 }
 BENCHMARK(BM_BatchAnalyzeWarmCache)->Unit(benchmark::kMillisecond);
 

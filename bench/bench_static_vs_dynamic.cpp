@@ -32,7 +32,8 @@ void printTradeoff() {
   auto t0 = clock::now();
   core::Artifacts artifacts = core::analyze(spec, diags);
   auto t1 = clock::now();
-  auto analysis = artifacts.resultV1;
+  const bench::AnalyzedWorkload analysis{{*artifacts.model},
+                                         artifacts.program->get()};
   double generationMs = ms(t1 - t0);
 
   const std::vector<std::int64_t> sweep = {100'000,   500'000,  1'000'000,
@@ -45,9 +46,9 @@ void printTradeoff() {
   for (std::int64_t n : sweep) {
     auto e0 = clock::now();
     auto staticFPI =
-        analysis->staticFPI("stream_main", {{"n", n}, {"ntimes", 10}});
+        analysis.staticFPI("stream_main", {{"n", n}, {"ntimes", 10}});
     auto e1 = clock::now();
-    auto r = bench::simulateFF(*analysis, "stream_main",
+    auto r = bench::simulateFF(analysis, "stream_main",
                                {Value::ofInt(n), Value::ofInt(10)});
     auto e2 = clock::now();
     benchmark::DoNotOptimize(staticFPI);

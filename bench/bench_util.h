@@ -19,12 +19,18 @@
 
 namespace mira::bench {
 
+/// A workload analyzed once by a table printer: its model (and
+/// staticFPI shorthand) plus the live compiled program it came from.
+struct AnalyzedWorkload : core::AnalysisResult {
+  std::shared_ptr<const core::CompiledProgram> program;
+};
+
 /// Analyze-once helper for the table printers. Guarded by a mutex so
 /// multi-threaded google-benchmark registrations can share it.
-inline core::AnalysisResult &analyzeCached(const std::string &source,
-                                           const std::string &name) {
+inline AnalyzedWorkload &analyzeCached(const std::string &source,
+                                       const std::string &name) {
   static std::mutex mutex;
-  static std::map<std::string, std::unique_ptr<core::AnalysisResult>> cache;
+  static std::map<std::string, std::unique_ptr<AnalyzedWorkload>> cache;
   std::lock_guard<std::mutex> lock(mutex);
   auto it = cache.find(name);
   if (it == cache.end()) {
@@ -35,20 +41,21 @@ inline core::AnalysisResult &analyzeCached(const std::string &source,
     spec.artifacts = core::kArtifactModel | core::kArtifactDiagnostics |
                      core::kArtifactProgram;
     core::Artifacts artifacts = core::analyze(spec, diags);
-    if (!artifacts.ok || !artifacts.resultV1) {
+    if (!artifacts.ok || !artifacts.model) {
       std::fprintf(stderr, "analysis of %s failed:\n%s\n", name.c_str(),
                    diags.str().c_str());
       std::abort();
     }
     it = cache
-             .emplace(name, std::make_unique<core::AnalysisResult>(
-                                *artifacts.resultV1))
+             .emplace(name, std::make_unique<AnalyzedWorkload>(
+                                AnalyzedWorkload{{*artifacts.model},
+                                                 artifacts.program->get()}))
              .first;
   }
   return *it->second;
 }
 
-inline sim::SimResult simulateFF(const core::AnalysisResult &analysis,
+inline sim::SimResult simulateFF(const AnalyzedWorkload &analysis,
                                  const std::string &fn,
                                  const std::vector<sim::Value> &args) {
   sim::SimOptions options;

@@ -95,26 +95,19 @@ Artifacts analyze(const AnalysisSpec &spec, DiagnosticEngine &diags) {
   }
 
   if (spec.artifacts & kArtifactModel) {
-    // Same stage sequence the removed v1 analyzeSource ran, so models
-    // and diagnostics through this path stay byte-identical to v1
-    // results (pinned by tests/artifact_test.cpp).
-    auto result = std::make_shared<AnalysisResult>();
-    // The view keeps the program (AST through bridge) only when asked.
-    // Otherwise the program handle is its only owner, so a result kept
-    // for its model holds no IR, and the IR is freed wherever the
-    // handle is dropped (on the worker, for a no-cache batch).
-    if (spec.artifacts & kArtifactProgram)
-      result->program = program;
-    result->model = metrics::generateModel(
-        *program->unit, program->sema.callGraph, *program->bridge,
-        spec.options.metrics, diags, spec.options.modelPool);
+    // The model owns no IR: the program handle is the compiled
+    // program's only owner, so a result kept for its model pins no IR,
+    // and the IR is freed wherever the handle is dropped (on the worker,
+    // for a no-cache batch).
+    auto generated = std::make_shared<model::PerformanceModel>(
+        metrics::generateModel(*program->unit, program->sema.callGraph,
+                               *program->bridge, spec.options.metrics, diags,
+                               spec.options.modelPool));
     if (diags.hasErrors()) {
       out.diagnostics = diags.str();
       return out;
     }
-    out.resultV1 = result;
-    out.model = std::shared_ptr<const model::PerformanceModel>(
-        out.resultV1, &result->model);
+    out.model = std::move(generated);
   }
 
   out.ok = true;

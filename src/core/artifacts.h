@@ -1,33 +1,28 @@
 /// \file
-/// Artifact-oriented analysis API (v2): one request/result pair used by
-/// every layer — one-shot calls, the batch driver, the disk cache, and
-/// the serving daemon.
+/// Artifact-oriented analysis API: one request/result pair used by every
+/// layer — one-shot calls, the batch driver, the disk cache, and the
+/// serving daemon.
 ///
 /// The paper's workflow is one pipeline with several consumers: model
 /// evaluation, Python emission, loop-coverage statistics, and simulated
-/// ground truth. The v1 surface (core::analyzeSource) was all-or-nothing
-/// — it always generated the model and always handed back a live
-/// compiled program — which meant a cache or daemon hit that restored
-/// only the model could never answer coverage or simulation questions.
-///
-/// v2 turns the request inside out: an AnalysisSpec names the source and
-/// declares *which artifacts* the caller needs (ArtifactMask), and the
-/// returned Artifacts carries exactly those, each servable from the
-/// cheapest layer that has it. The key enabling type is ProgramHandle: a
-/// compiled program that is either *live* (compiled in this process) or
-/// *recompile-on-demand* (a cache hit restored the model without the
-/// binary; the handle re-runs parse→sema→codegen — skipping model
-/// generation, the expensive stage — on first use, memoized and
-/// thread-safe). Coverage additionally travels as a serialized summary
-/// in cache schema v2, so a warm cache answers `mira-cli coverage`
-/// without touching the compiler at all.
+/// ground truth. An AnalysisSpec names the source and declares *which
+/// artifacts* the caller needs (ArtifactMask), and the returned Artifacts
+/// carries exactly those, each servable from the cheapest layer that has
+/// it. The key enabling type is ProgramHandle: a compiled program that is
+/// either *live* (compiled in this process) or *recompile-on-demand* (a
+/// cache hit restored the model without the binary; the handle re-runs
+/// parse→sema→codegen — skipping model generation, the expensive stage —
+/// on first use, memoized and thread-safe). Coverage additionally travels
+/// as a serialized summary in cache schema v2, so a warm cache answers
+/// `mira-cli coverage` without touching the compiler at all.
 ///
 /// Layering: core::analyze() here is the uncached one-shot entry;
 /// driver::BatchAnalyzer::analyzeArtifacts() adds the memory → disk →
 /// recompile → full-compute fulfillment planning; the daemon serves the
-/// same specs over the wire (docs/PROTOCOL.md v2). Results through any
+/// same specs over the wire (docs/PROTOCOL.md). Results through any
 /// path are byte-identical to a one-shot run (the invariant every layer
-/// pins in tests). docs/MIGRATION.md maps v1 calls onto this API.
+/// pins in tests). docs/MIGRATION.md maps the removed v1 calls onto
+/// this API.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +47,7 @@ inline constexpr ArtifactMask kArtifactDiagnostics = 1u << 1; ///< rendered text
 inline constexpr ArtifactMask kArtifactProgram = 1u << 2;     ///< ProgramHandle
 inline constexpr ArtifactMask kArtifactCoverage = 1u << 3;    ///< LoopCoverage
 inline constexpr ArtifactMask kArtifactSimulation = 1u << 4;  ///< SimResult
-/// What v1 analyzeSource produced: model + diagnostics.
+/// Model + diagnostics: what a plain `analyze` asks for.
 inline constexpr ArtifactMask kArtifactDefault =
     kArtifactModel | kArtifactDiagnostics;
 inline constexpr ArtifactMask kArtifactAll =
@@ -70,7 +65,7 @@ struct SimulationArgs {
 };
 
 /// One analysis request: a named source, pipeline options, and the set
-/// of artifacts the caller wants. The unit of work of the whole v2
+/// of artifacts the caller wants. The unit of work of the whole
 /// surface — `core::analyze`, `driver::BatchAnalyzer`, and the daemon's
 /// wire requests all consume exactly this.
 struct AnalysisSpec {
@@ -157,23 +152,16 @@ struct Artifacts {
   /// kArtifactProgram: live or recompile-on-demand (see ProgramHandle).
   std::shared_ptr<ProgramHandle> program;
   /// kArtifactCoverage — also attached opportunistically when the
-  /// serving layer already has it (a v2 cache entry), since that costs
+  /// serving layer already has it (a cache entry), since that costs
   /// nothing; absent only when neither requested nor available.
   std::optional<sema::LoopCoverage> coverage;
   /// kArtifactSimulation: executed with AnalysisSpec::simulation.
   std::shared_ptr<const sim::SimResult> simulation;
-  /// Compatibility view for v1 consumers (AnalysisOutcome::analysis):
-  /// the same model as an AnalysisResult. Its `program` is set only when
-  /// kArtifactProgram was requested and the program is live; otherwise
-  /// it is null and `program` above is the only owner of the compiled
-  /// IR, so a result kept for its model pins no IR. Null when !ok or
-  /// when the model was not produced.
-  std::shared_ptr<const AnalysisResult> resultV1;
   double seconds = 0; ///< wall time spent fulfilling this spec
 
-  /// Shorthand mirroring AnalysisResult::staticFPI: evaluate FPI (the
-  /// paper's headline metric) from the model artifact; nullopt when the
-  /// model is absent or parameters are missing.
+  /// Shorthand: evaluate FPI (the paper's headline metric) from the
+  /// model artifact; nullopt when the model is absent or parameters are
+  /// missing.
   std::optional<double> staticFPI(const std::string &function,
                                   const model::Env &env,
                                   std::string *error = nullptr) const;

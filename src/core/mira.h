@@ -1,6 +1,6 @@
 // Mira public API: options and the shared result/simulation types.
 //
-// The entry point is the artifact-oriented v2 API in core/artifacts.h —
+// The entry point is the artifact-oriented API in core/artifacts.h —
 // build an AnalysisSpec naming the artifacts you need and call
 // core::analyze (or, with caching, drive it through
 // driver::BatchAnalyzer):
@@ -16,8 +16,7 @@
 // (optimize/vectorize) -> object emission -> disassembly -> bridge ->
 // metric generation -> model. simulate runs the same binary's semantics
 // and returns the dynamic ground-truth counters (the TAU/PAPI
-// substitute). The deprecated v1 entry point (analyzeSource) was removed
-// as of schema v2; docs/MIGRATION.md maps every v1 call to its v2
+// substitute). docs/MIGRATION.md maps every removed v1 call to its
 // replacement.
 //
 // Thread-safety contract: core::analyze keeps no shared mutable state —
@@ -63,16 +62,9 @@ struct MiraOptions {
   ThreadPool *modelPool = nullptr;
 };
 
-/// v1 result shape: a model plus (when computed in-process under
-/// kArtifactProgram) the live compiled program. Cache layers may restore
-/// the model without the program (`program == nullptr`); the v2 API's
-/// ProgramHandle (core/artifacts.h) is how such results regain a program
-/// on demand.
+/// A performance model decoded from an artifact payload (the disk cache
+/// entry and wire format of driver::serializeArtifactPayload).
 struct AnalysisResult {
-  /// Shared const since the v2 redesign: the same compiled program backs
-  /// this result, the batch cache, and any ProgramHandle. Deref/null
-  /// checks work as before.
-  std::shared_ptr<const CompiledProgram> program;
   model::PerformanceModel model;
 
   /// Shorthand: evaluate FPI (the paper's headline metric) for a

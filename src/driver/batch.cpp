@@ -57,13 +57,6 @@ std::uint64_t requestKey(const core::AnalysisSpec &spec) {
   return requestKeyFromContentHash(fnv1a(spec.source), spec.options);
 }
 
-std::uint64_t requestKey(const AnalysisRequest &request) {
-  core::AnalysisSpec spec;
-  spec.source = request.source;
-  spec.options = request.options;
-  return requestKey(spec);
-}
-
 // --------------------------------------------------- shard planning
 
 bool parseShardSpec(const std::string &text, ShardSpec &shard) {
@@ -326,52 +319,13 @@ BatchReport mergeBatchReports(const std::vector<BatchReport> &parts) {
 
 // ------------------------------------------------------ payload codecs
 
-// v1 payload layout (schema 1, still read from old disk entries and
-// written to v1 wire clients):
-//   [ok u8][producerName str][diagnostics str][model bytes when ok]
-std::string serializeOutcomePayloadV1(const core::AnalysisResult *analysis,
-                                      const std::string &diagnostics,
-                                      const std::string &producerName) {
-  std::string out;
-  bio::putU8(out, analysis ? 1 : 0);
-  bio::putString(out, producerName);
-  bio::putString(out, diagnostics);
-  if (analysis)
-    model::serializeModel(analysis->model, out);
-  return out;
-}
-
-bool deserializeOutcomePayloadV1(
-    const std::string &payload,
-    std::shared_ptr<const core::AnalysisResult> &analysis,
-    std::string &diagnostics, std::string &producerName) {
-  bio::Reader r{payload, 0};
-  std::uint8_t ok = 0;
-  if (!r.u8(ok) || ok > 1)
-    return false;
-  if (!r.str(producerName) || !r.str(diagnostics))
-    return false;
-  if (!ok) {
-    analysis = nullptr;
-    return r.remaining() == 0;
-  }
-  auto result = std::make_shared<core::AnalysisResult>();
-  std::size_t offset = r.offset;
-  if (!model::deserializeModel(payload, offset, result->model))
-    return false;
-  if (offset != payload.size())
-    return false; // trailing garbage: treat as corrupt
-  analysis = std::move(result);
-  return true;
-}
-
-// v2 payload layout (schema 2 — bump kCacheSchemaVersion when changing
+// Payload layout (schema 2 — bump kCacheSchemaVersion when changing
 // this): [ok u8][producerName str][diagnostics str] then, when ok,
 // [hasCoverage u8][loops u64][statements u64][inLoop u64]?[model bytes].
-// Shared by the disk cache and the v2 wire protocol (docs/PROTOCOL.md),
+// Shared by the disk cache and the wire protocol (docs/PROTOCOL.md),
 // which is what makes a daemon-served result byte-identical to a
-// disk-cached one by construction. hasCoverage is 0 only for values that
-// round-tripped through a v1 entry (the summary was never stored).
+// disk-cached one by construction. hasCoverage is 0 only for values
+// whose coverage summary was never computed.
 std::string serializeArtifactPayload(const model::PerformanceModel *model,
                                      const sema::LoopCoverage *coverage,
                                      const std::string &diagnostics,
@@ -480,26 +434,6 @@ void BatchAnalyzer::clearCache() {
   cache_.clear();
 }
 
-core::AnalysisSpec BatchAnalyzer::toSpec(const AnalysisRequest &request) {
-  core::AnalysisSpec spec;
-  spec.name = request.name;
-  spec.source = request.source;
-  spec.options = request.options;
-  spec.artifacts = core::kArtifactDefault;
-  return spec;
-}
-
-AnalysisOutcome BatchAnalyzer::toOutcome(core::Artifacts &&artifacts) {
-  AnalysisOutcome outcome;
-  outcome.name = std::move(artifacts.name);
-  outcome.ok = artifacts.ok;
-  outcome.cacheHit = artifacts.cacheHit;
-  outcome.analysis = std::move(artifacts.resultV1);
-  outcome.diagnostics = std::move(artifacts.diagnostics);
-  outcome.seconds = artifacts.seconds;
-  return outcome;
-}
-
 BatchAnalyzer::CacheValue
 BatchAnalyzer::computeValue(const core::AnalysisSpec &spec) {
   CacheValue value;
@@ -534,7 +468,6 @@ BatchAnalyzer::computeValue(const core::AnalysisSpec &spec) {
     value.diagnostics = std::move(artifacts.diagnostics);
     if (artifacts.ok) {
       value.ok = true;
-      value.analysis = std::move(artifacts.resultV1);
       value.model = std::move(artifacts.model);
       value.coverage = artifacts.coverage;
       value.program = std::move(artifacts.program);
@@ -552,23 +485,16 @@ BatchAnalyzer::CacheValue
 BatchAnalyzer::produceValue(const core::AnalysisSpec &spec,
                             std::uint64_t key) {
   if (disk_) {
-    std::uint32_t version = 0;
-    if (auto payload = disk_->load(key, version)) {
+    if (auto payload = disk_->load(key)) {
       CacheValue value;
       value.fromDisk = true;
-      const bool parsed =
-          version >= 2
-              ? deserializeArtifactPayload(*payload, value.analysis,
-                                           value.coverage, value.diagnostics,
-                                           value.producerName)
-              : deserializeOutcomePayloadV1(*payload, value.analysis,
-                                            value.diagnostics,
-                                            value.producerName);
-      if (parsed) {
-        value.ok = value.analysis != nullptr;
-        if (value.analysis) {
+      std::shared_ptr<const core::AnalysisResult> analysis;
+      if (deserializeArtifactPayload(*payload, analysis, value.coverage,
+                                     value.diagnostics, value.producerName)) {
+        value.ok = analysis != nullptr;
+        if (analysis) {
           value.model = std::shared_ptr<const model::PerformanceModel>(
-              value.analysis, &value.analysis->model);
+              analysis, &analysis->model);
           // The entry restores without the compiled program; program-
           // needing artifacts reattach it lazily at recompile cost.
           value.program = core::ProgramHandle::deferred(
@@ -616,7 +542,6 @@ core::Artifacts BatchAnalyzer::fulfill(const core::AnalysisSpec &spec,
     artifacts.diagnostics = "(diagnostics from identical source '" +
                             value.producerName + "')\n" +
                             artifacts.diagnostics;
-  artifacts.resultV1 = value.analysis;
   if (!artifacts.ok)
     return artifacts;
 
@@ -648,11 +573,11 @@ core::Artifacts BatchAnalyzer::fulfill(const core::AnalysisSpec &spec,
         artifacts.coverageFromCache = true;
       }
     } else if (auto program = materialize()) {
-      // v1 disk entry: no stored summary — recompile-on-demand.
+      // No stored summary (a payload written without one): recompile.
       artifacts.coverage = sema::computeLoopCoverage(*program->unit);
     }
   } else if (value.coverage) {
-    // Free to attach: the serving layers forward it to v2 payloads.
+    // Free to attach: the serving layers forward it in result payloads.
     artifacts.coverage = *value.coverage;
   }
 
@@ -869,38 +794,6 @@ BatchAnalyzer::runArtifacts(const std::vector<core::AnalysisSpec> &specs) {
   stats_.wallSeconds = secondsSince(start);
   publishInternGauges(*metrics_);
   return results;
-}
-
-AnalysisOutcome BatchAnalyzer::analyzeSingle(const AnalysisRequest &request) {
-  return toOutcome(analyzeArtifacts(toSpec(request)));
-}
-
-std::vector<AnalysisOutcome>
-BatchAnalyzer::analyzeMany(const std::vector<AnalysisRequest> &requests) {
-  std::vector<core::AnalysisSpec> specs;
-  specs.reserve(requests.size());
-  for (const AnalysisRequest &request : requests)
-    specs.push_back(toSpec(request));
-  std::vector<core::Artifacts> results = analyzeArtifactsMany(specs);
-  std::vector<AnalysisOutcome> outcomes;
-  outcomes.reserve(results.size());
-  for (core::Artifacts &artifacts : results)
-    outcomes.push_back(toOutcome(std::move(artifacts)));
-  return outcomes;
-}
-
-std::vector<AnalysisOutcome>
-BatchAnalyzer::run(const std::vector<AnalysisRequest> &requests) {
-  std::vector<core::AnalysisSpec> specs;
-  specs.reserve(requests.size());
-  for (const AnalysisRequest &request : requests)
-    specs.push_back(toSpec(request));
-  std::vector<core::Artifacts> results = runArtifacts(specs);
-  std::vector<AnalysisOutcome> outcomes;
-  outcomes.reserve(results.size());
-  for (core::Artifacts &artifacts : results)
-    outcomes.push_back(toOutcome(std::move(artifacts)));
-  return outcomes;
 }
 
 } // namespace mira::driver

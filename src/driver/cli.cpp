@@ -45,13 +45,11 @@
 //       binary comes back through a recompile-on-demand handle
 //       (parse->codegen only), flagged in the output.
 //
-//   mira-cli cache <stats|clear|prune> --cache-dir DIR [--schema vN]
-//            [--manifest FILE]...
+//   mira-cli cache <stats|clear|prune> --cache-dir DIR [--manifest FILE]...
 //       Inspect or empty a persistent analysis cache directory. stats
 //       breaks bytes down per artifact (model vs coverage vs
-//       diagnostics); clear --schema v1 purges only pre-migration
-//       entries; prune removes entries no given manifest's sources can
-//       produce (union over manifests and all option-flag combos).
+//       diagnostics); prune removes entries no given manifest's sources
+//       can produce (union over manifests and all option-flag combos).
 //
 //   mira-cli serve [--socket PATH] [--listen HOST:PORT] [--secret S]
 //            [--threads N] [--model-threads N]
@@ -75,12 +73,10 @@
 //            (--socket PATH | --connect HOST:PORT) [sources...]
 //            [--secret S] [--connect-timeout SECONDS]
 //            [--no-optimize] [--no-vectorize]
-//            [--emit-python] [--wire-version N] [--busy-retries N]
+//            [--emit-python] [--busy-retries N]
 //       Talk to a running daemon over the wire protocol
-//       (docs/PROTOCOL.md). --wire-version 1 speaks the v1 dialect
-//       (compatibility checks); coverage/simulate/manifest-diff/metrics
-//       and batch --manifest need v2. Busy refusals are retried with
-//       the daemon's backoff hint up to --busy-retries times.
+//       (docs/PROTOCOL.md). Busy refusals are retried with the daemon's
+//       backoff hint up to --busy-retries times.
 //       `client batch --manifest FILE [--since OLD] [--shard I/N]
 //       [--root DIR] [--report FILE] [--progress]` executes a whole
 //       corpus on the daemon: report and cache directory come out
@@ -111,6 +107,7 @@
 // daemon operator guide.
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -163,8 +160,7 @@ int usage(const char *argv0) {
       "  manifest build <dir> --out FILE [--ext .mc]...\n"
       "  manifest diff <old.manifest> <new.manifest>\n"
       "  manifest merge --out FILE <reports...>\n"
-      "  cache <stats|clear|prune> --cache-dir DIR [--schema vN]\n"
-      "          [--manifest FILE]...\n"
+      "  cache <stats|clear|prune> --cache-dir DIR [--manifest FILE]...\n"
       "  serve [--socket PATH] [--listen HOST:PORT] [--secret S]\n"
       "          [--threads N] [--model-threads N]\n"
       "          [--cache-dir DIR] [--cache-limit BYTES] [--max-inflight N]\n"
@@ -173,8 +169,7 @@ int usage(const char *argv0) {
       "          metrics|ping|shutdown> (--socket PATH | --connect HOST:PORT)\n"
       "          [sources...] [--secret S] [--connect-timeout SECONDS]\n"
       "          [--no-optimize] [--no-vectorize] [--emit-python]\n"
-      "          [--wire-version N] [--busy-retries N]\n"
-      "          [--function NAME] [--sim-arg V] [--fast-forward]\n"
+      "          [--busy-retries N] [--function NAME] [--sim-arg V] [--fast-forward]\n"
       "  client batch --manifest FILE [--since OLD] [--shard I/N]\n"
       "          [--root DIR] [--report FILE] [--progress] --socket PATH\n"
       "  coordinate --manifest FILE --workers host:port[,host:port...]\n"
@@ -205,15 +200,15 @@ const std::string *embeddedWorkload(const std::string &name) {
 
 /// Resolve a CLI source argument: '@name' -> embedded workload, anything
 /// else -> file contents. Returns false (with a message) on failure.
-bool loadSource(const std::string &arg, driver::AnalysisRequest &request) {
+bool loadSource(const std::string &arg, core::AnalysisSpec &spec) {
   if (!arg.empty() && arg[0] == '@') {
     const std::string *source = embeddedWorkload(arg.substr(1));
     if (!source) {
       std::fprintf(stderr, "unknown workload '%s'\n", arg.c_str());
       return false;
     }
-    request.name = arg;
-    request.source = *source;
+    spec.name = arg;
+    spec.source = *source;
     return true;
   }
   std::ifstream in(arg);
@@ -223,15 +218,15 @@ bool loadSource(const std::string &arg, driver::AnalysisRequest &request) {
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  request.name = arg;
-  request.source = buffer.str();
+  spec.name = arg;
+  spec.source = buffer.str();
   return true;
 }
 
-void printModelSummary(const core::AnalysisResult &analysis) {
+void printModelSummary(const model::PerformanceModel &model) {
   std::printf("%-24s | %6s | %6s | %5s | parameters\n", "function", "counts",
               "calls", "exact");
-  for (const auto &fn : analysis.model.functions) {
+  for (const auto &fn : model.functions) {
     std::string params;
     for (const auto &p : fn.parameters()) {
       if (!params.empty())
@@ -256,12 +251,10 @@ struct CommonFlags {
   std::uint64_t cacheBytesLimit = 0;
   std::string socketPath;
   bool viaDaemon = false;       ///< serve coverage/simulate over the wire
-  std::uint32_t wireVersion = server::kProtocolVersion;
   std::size_t maxInflight = 0;  ///< serve --max-inflight (0 = unlimited)
   double drainTimeoutSeconds = 5.0; ///< serve --drain-timeout
   std::string metricsFile;      ///< serve --metrics-file
   std::size_t busyRetries = 8;  ///< client --busy-retries
-  std::string schema;           ///< `cache clear --schema vN` selector
   core::SimulationArgs sim;     ///< --function / --sim-arg / --fast-forward
   std::string outPath;          ///< `manifest build/merge --out`
   std::vector<std::string> extensions; ///< `manifest build --ext` (repeatable)
@@ -322,25 +315,45 @@ bool parseByteSize(const std::string &text, std::uint64_t &bytes) {
   return true;
 }
 
+/// Consume the numeric value of the flag at args[i], advancing i past it.
+/// The whole value must parse as a T: a missing, empty, non-numeric or
+/// trailing-garbage value prints a diagnostic and fails, so the command
+/// takes the usage exit (2) instead of running with a silently
+/// substituted 0.
+template <typename T>
+bool numericFlag(const std::vector<std::string> &args, std::size_t &i,
+                 T &value) {
+  const std::string &flag = args[i];
+  if (i + 1 == args.size()) {
+    std::fprintf(stderr, "%s requires a value\n", flag.c_str());
+    return false;
+  }
+  const std::string &text = args[++i];
+  const char *end = text.data() + text.size();
+  const auto [parsed, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || parsed != end) {
+    std::fprintf(stderr, "%s: invalid value '%s'\n", flag.c_str(),
+                 text.c_str());
+    return false;
+  }
+  return true;
+}
+
 /// Consume recognized flags from args (in place); leave positionals.
 bool parseFlags(std::vector<std::string> &args, CommonFlags &flags) {
   std::vector<std::string> positional;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string &a = args[i];
+    long long integer = 0;
+    double real = 0;
     if (a == "--threads") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--threads requires a value\n");
+      if (!numericFlag(args, i, integer))
         return false;
-      }
-      flags.threads = static_cast<std::size_t>(
-          std::max(1L, std::atol(args[++i].c_str())));
+      flags.threads = static_cast<std::size_t>(std::max(1LL, integer));
     } else if (a == "--model-threads") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--model-threads requires a value\n");
+      if (!numericFlag(args, i, integer))
         return false;
-      }
-      flags.modelThreads = static_cast<std::size_t>(
-          std::max(1L, std::atol(args[++i].c_str())));
+      flags.modelThreads = static_cast<std::size_t>(std::max(1LL, integer));
     } else if (a == "--cache-dir") {
       if (i + 1 == args.size()) {
         std::fprintf(stderr, "--cache-dir requires a value\n");
@@ -405,25 +418,14 @@ bool parseFlags(std::vector<std::string> &args, CommonFlags &flags) {
       }
       flags.shardGiven = true;
       ++i;
-    } else if (a == "--schema") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--schema requires a value (e.g. v1)\n");
-        return false;
-      }
-      flags.schema = args[++i];
     } else if (a == "--max-inflight") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--max-inflight requires a value\n");
+      if (!numericFlag(args, i, integer))
         return false;
-      }
-      flags.maxInflight = static_cast<std::size_t>(
-          std::max(0L, std::atol(args[++i].c_str())));
+      flags.maxInflight = static_cast<std::size_t>(std::max(0LL, integer));
     } else if (a == "--drain-timeout") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--drain-timeout requires seconds\n");
+      if (!numericFlag(args, i, real))
         return false;
-      }
-      flags.drainTimeoutSeconds = std::max(0.0, std::atof(args[++i].c_str()));
+      flags.drainTimeoutSeconds = std::max(0.0, real);
     } else if (a == "--metrics-file") {
       if (i + 1 == args.size()) {
         std::fprintf(stderr, "--metrics-file requires a path\n");
@@ -458,39 +460,21 @@ bool parseFlags(std::vector<std::string> &args, CommonFlags &flags) {
         flags.workersSpec += ',';
       flags.workersSpec += args[++i];
     } else if (a == "--shard-count") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--shard-count requires a value\n");
+      if (!numericFlag(args, i, integer))
         return false;
-      }
-      flags.shardCount = static_cast<std::size_t>(
-          std::max(0L, std::atol(args[++i].c_str())));
+      flags.shardCount = static_cast<std::size_t>(std::max(0LL, integer));
     } else if (a == "--lease-timeout") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--lease-timeout requires seconds\n");
+      if (!numericFlag(args, i, real))
         return false;
-      }
-      flags.leaseTimeoutSeconds = std::max(0.05, std::atof(args[++i].c_str()));
+      flags.leaseTimeoutSeconds = std::max(0.05, real);
     } else if (a == "--connect-timeout") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--connect-timeout requires seconds\n");
+      if (!numericFlag(args, i, real))
         return false;
-      }
-      flags.connectTimeoutSeconds =
-          std::max(0.05, std::atof(args[++i].c_str()));
+      flags.connectTimeoutSeconds = std::max(0.05, real);
     } else if (a == "--busy-retries") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--busy-retries requires a value\n");
+      if (!numericFlag(args, i, integer))
         return false;
-      }
-      flags.busyRetries = static_cast<std::size_t>(
-          std::max(0L, std::atol(args[++i].c_str())));
-    } else if (a == "--wire-version") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--wire-version requires a value\n");
-        return false;
-      }
-      flags.wireVersion = static_cast<std::uint32_t>(
-          std::max(1L, std::atol(args[++i].c_str())));
+      flags.busyRetries = static_cast<std::size_t>(std::max(0LL, integer));
     } else if (a == "--function") {
       if (i + 1 == args.size()) {
         std::fprintf(stderr, "--function requires a name\n");
@@ -498,22 +482,23 @@ bool parseFlags(std::vector<std::string> &args, CommonFlags &flags) {
       }
       flags.sim.function = args[++i];
     } else if (a == "--sim-arg") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--sim-arg requires a value\n");
-        return false;
+      // Positional type: a value spelled with '.', 'e' or 'E' is a
+      // double, anything else an integer.
+      if (i + 1 < args.size() &&
+          args[i + 1].find_first_of(".eE") != std::string::npos) {
+        if (!numericFlag(args, i, real))
+          return false;
+        flags.sim.args.push_back(sim::Value::ofDouble(real));
+      } else {
+        if (!numericFlag(args, i, integer))
+          return false;
+        flags.sim.args.push_back(sim::Value::ofInt(integer));
       }
-      const std::string &value = args[++i];
-      if (value.find_first_of(".eE") != std::string::npos)
-        flags.sim.args.push_back(sim::Value::ofDouble(std::atof(value.c_str())));
-      else
-        flags.sim.args.push_back(sim::Value::ofInt(std::atoll(value.c_str())));
     } else if (a == "--max-instructions") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--max-instructions requires a value\n");
+      if (!numericFlag(args, i, integer))
         return false;
-      }
-      flags.sim.options.maxInstructions = static_cast<std::uint64_t>(
-          std::max(1LL, std::atoll(args[++i].c_str())));
+      flags.sim.options.maxInstructions =
+          static_cast<std::uint64_t>(std::max(1LL, integer));
     } else if (a == "--fast-forward") {
       flags.sim.options.fastForward = true;
     } else if (a == "--progress") {
@@ -563,7 +548,7 @@ driver::BatchOptions batchOptionsFor(const CommonFlags &flags,
 
 /// Print the per-source status table and batch totals; returns the batch
 /// wall time (negative on any failure).
-double printOutcomes(const std::vector<driver::AnalysisOutcome> &outcomes,
+double printOutcomes(const std::vector<core::Artifacts> &outcomes,
                      const driver::BatchStats &stats, std::size_t threads,
                      bool quiet) {
   bool allOk = true;
@@ -592,11 +577,11 @@ double printOutcomes(const std::vector<driver::AnalysisOutcome> &outcomes,
   return allOk ? stats.wallSeconds : -1.0;
 }
 
-/// Run the requests through a fresh analyzer and print the table.
-double runBatch(const std::vector<driver::AnalysisRequest> &requests,
+/// Run the specs through a fresh analyzer and print the table.
+double runBatch(const std::vector<core::AnalysisSpec> &specs,
                 const driver::BatchOptions &batchOptions, bool quiet) {
   driver::BatchAnalyzer analyzer(batchOptions);
-  auto outcomes = analyzer.run(requests);
+  auto outcomes = analyzer.runArtifacts(specs);
   return printOutcomes(outcomes, analyzer.stats(), batchOptions.threads,
                        quiet);
 }
@@ -615,10 +600,10 @@ int cmdAnalyze(std::vector<std::string> args) {
   CommonFlags flags;
   if (!parseFlags(args, flags) || args.size() != 1)
     return 2;
-  driver::AnalysisRequest request;
-  if (!loadSource(args[0], request))
+  core::AnalysisSpec spec;
+  if (!loadSource(args[0], spec))
     return 1;
-  request.options = optionsFor(flags);
+  spec.options = optionsFor(flags);
 
   // One request: the batch pool is a single thread, but --model-threads
   // still fans out per-function model generation, and --cache-dir makes
@@ -628,8 +613,7 @@ int cmdAnalyze(std::vector<std::string> args) {
   // --no-cache still wins over --cache-dir.
   batchOptions.useCache = flags.useCache && !flags.cacheDir.empty();
   driver::BatchAnalyzer analyzer(batchOptions);
-  auto outcomes = analyzer.run({request});
-  const auto &outcome = outcomes[0];
+  const core::Artifacts outcome = analyzer.analyzeArtifacts(spec);
   if (!outcome.ok) {
     std::fprintf(stderr, "analysis of %s failed:\n%s\n",
                  outcome.name.c_str(), outcome.diagnostics.c_str());
@@ -639,10 +623,10 @@ int cmdAnalyze(std::vector<std::string> args) {
     std::fprintf(stderr, "%s\n", outcome.diagnostics.c_str());
   std::printf("analyzed %s in %.4f s%s\n", outcome.name.c_str(),
               outcome.seconds, outcome.cacheHit ? " (disk cache)" : "");
-  printModelSummary(*outcome.analysis);
+  printModelSummary(*outcome.model);
   if (flags.emitPython) {
     std::puts("");
-    std::puts(model::emitPython(outcome.analysis->model).c_str());
+    std::puts(model::emitPython(*outcome.model).c_str());
   }
   return 0;
 }
@@ -826,21 +810,21 @@ int runManifestBatch(const CommonFlags &flags) {
 
   const std::string root =
       flags.rootOverride.empty() ? manifest.root : flags.rootOverride;
-  std::vector<driver::AnalysisRequest> requests;
-  requests.reserve(mine.size());
+  std::vector<core::AnalysisSpec> specs;
+  specs.reserve(mine.size());
   for (const auto &entry : mine) {
-    driver::AnalysisRequest request;
+    core::AnalysisSpec spec;
     const std::string path =
         (std::filesystem::path(root) / entry.path).string();
-    if (!loadSource(path, request))
+    if (!loadSource(path, spec))
       return 1;
-    request.name = entry.path; // table/report identity = manifest path
-    request.options = options;
-    requests.push_back(std::move(request));
+    spec.name = entry.path; // table/report identity = manifest path
+    spec.options = options;
+    specs.push_back(std::move(spec));
   }
 
   driver::BatchAnalyzer analyzer(batchOptionsFor(flags, flags.threads));
-  auto outcomes = analyzer.run(requests);
+  auto outcomes = analyzer.runArtifacts(specs);
   const double wall =
       printOutcomes(outcomes, analyzer.stats(), flags.threads, false);
   std::printf("manifest: %zu of %zu entries selected", mine.size(),
@@ -896,55 +880,43 @@ int cmdBatch(std::vector<std::string> args) {
   }
   if (args.empty())
     return 2;
-  std::vector<driver::AnalysisRequest> requests;
+  std::vector<core::AnalysisSpec> specs;
   for (const auto &arg : args) {
-    driver::AnalysisRequest request;
-    if (!loadSource(arg, request))
+    core::AnalysisSpec spec;
+    if (!loadSource(arg, spec))
       return 1;
-    request.options = optionsFor(flags);
-    requests.push_back(std::move(request));
+    spec.options = optionsFor(flags);
+    specs.push_back(std::move(spec));
   }
 
   double parallelSeconds =
-      runBatch(requests, batchOptionsFor(flags, flags.threads), false);
+      runBatch(specs, batchOptionsFor(flags, flags.threads), false);
   if (flags.compareSerial) {
     // The serial reference run skips the disk cache: it would otherwise
     // be warmed by the parallel run above and win every comparison.
     double serialSeconds =
-        runBatch(requests, batchOptionsFor(flags, 1, false), true);
+        runBatch(specs, batchOptionsFor(flags, 1, false), true);
     printSpeedup(serialSeconds, parallelSeconds, flags.threads);
   }
   return parallelSeconds < 0 ? 1 : 0;
 }
 
-std::vector<driver::AnalysisRequest> coverageRequests() {
-  std::vector<driver::AnalysisRequest> requests;
-  for (const auto &kernel : workloads::coverageSuite()) {
-    driver::AnalysisRequest request;
-    request.name = kernel.name;
-    request.source = kernel.source;
-    requests.push_back(std::move(request));
-  }
-  for (const auto &workload : workloads::figSeriesWorkloads()) {
-    driver::AnalysisRequest request;
-    request.name = "@" + workload.name;
-    request.source = *workload.source;
-    requests.push_back(std::move(request));
-  }
-  return requests;
-}
-
+/// The Table I kernels then the fig-series workloads, as coverage specs.
 std::vector<core::AnalysisSpec> coverageSpecs(const CommonFlags &flags) {
   std::vector<core::AnalysisSpec> specs;
-  for (driver::AnalysisRequest &request : coverageRequests()) {
+  const auto add = [&](std::string name, std::string source) {
     core::AnalysisSpec spec;
-    spec.name = std::move(request.name);
-    spec.source = std::move(request.source);
+    spec.name = std::move(name);
+    spec.source = std::move(source);
     spec.options = optionsFor(flags); // same options (and cache keys) as
                                       // the --via-daemon path
     spec.artifacts = core::kArtifactCoverage | core::kArtifactDiagnostics;
     specs.push_back(std::move(spec));
-  }
+  };
+  for (const auto &kernel : workloads::coverageSuite())
+    add(kernel.name, kernel.source);
+  for (const auto &workload : workloads::figSeriesWorkloads())
+    add("@" + workload.name, *workload.source);
   return specs;
 }
 
@@ -1115,9 +1087,12 @@ int cmdSimulate(std::vector<std::string> args) {
     std::fprintf(stderr, "simulate requires --function NAME\n");
     return 2;
   }
-  driver::AnalysisRequest request;
-  if (!loadSource(args[0], request))
+  core::AnalysisSpec spec;
+  if (!loadSource(args[0], spec))
     return 1;
+  spec.options = optionsFor(flags);
+  spec.artifacts = core::kArtifactSimulation | core::kArtifactDiagnostics;
+  spec.simulation = flags.sim;
 
   if (flags.viaDaemon) {
     if (flags.socketPath.empty()) {
@@ -1130,31 +1105,24 @@ int cmdSimulate(std::vector<std::string> args) {
       return 1;
     }
     server::SimulateReply reply;
-    if (!client.simulate(request.name, request.source, optionsFor(flags),
-                         flags.sim, reply)) {
+    if (!client.simulate(spec.name, spec.source, spec.options, flags.sim,
+                         reply)) {
       std::fprintf(stderr, "%s\n", client.lastError().c_str());
       return 1;
     }
     if (!reply.ok) {
       std::fprintf(stderr, "simulate of %s failed:\n%s\n",
-                   request.name.c_str(), reply.diagnostics.c_str());
+                   spec.name.c_str(), reply.diagnostics.c_str());
       return 1;
     }
     std::printf("simulated %s:%s via daemon in %.4f s (%s%s)\n",
-                request.name.c_str(), flags.sim.function.c_str(),
+                spec.name.c_str(), flags.sim.function.c_str(),
                 static_cast<double>(reply.micros) / 1e6,
                 reply.cacheHit ? "cache hit" : "computed",
                 reply.recompiled ? ", recompiled" : "");
     printSimResult(reply.result);
     return reply.result.ok ? 0 : 1;
   }
-
-  core::AnalysisSpec spec;
-  spec.name = request.name;
-  spec.source = request.source;
-  spec.options = optionsFor(flags);
-  spec.artifacts = core::kArtifactSimulation | core::kArtifactDiagnostics;
-  spec.simulation = flags.sim;
 
   driver::BatchOptions batchOptions = batchOptionsFor(flags, 1);
   batchOptions.useCache = flags.useCache && !flags.cacheDir.empty();
@@ -1216,22 +1184,21 @@ int cmdCache(std::vector<std::string> args) {
                   formatBytes(store.bytesLimit()).c_str());
     else
       std::printf("byte limit      : unlimited\n");
-    std::printf("schema version  : %u (reads back to v%u)\n",
-                kCacheSchemaVersion, kCacheSchemaVersionMin);
+    std::printf("schema version  : %u\n", kCacheSchemaVersion);
 
     // Per-artifact byte breakdown: walk every entry (peek: no LRU
     // bump) and split its payload into the sections of the schema-v2
     // layout (docs/CACHING.md, "Entry format"). Programs are never
     // stored — they come back through recompile-on-demand handles —
     // so their column is identically zero by design.
-    std::size_t v1Entries = 0, v2Entries = 0, failureEntries = 0;
+    std::size_t readable = 0, failureEntries = 0;
     std::uint64_t modelBytes = 0, coverageBytes = 0, diagnosticsBytes = 0;
     for (std::uint64_t key : store.keys()) {
       std::uint32_t version = 0;
       auto payload = store.peek(key, version);
       if (!payload)
-        continue; // unsupported schema or raced with a writer
-      (version >= 2 ? v2Entries : v1Entries) += 1;
+        continue; // other schema version, or raced with a writer
+      ++readable;
       bio::Reader r{*payload, 0};
       std::uint8_t ok = 0;
       std::string producer, diagnostics;
@@ -1242,22 +1209,19 @@ int cmdCache(std::vector<std::string> args) {
         ++failureEntries;
         continue;
       }
-      if (version >= 2) {
-        std::uint8_t hasCoverage = 0;
-        const std::size_t beforeCoverage = r.offset;
-        std::uint64_t scratch = 0;
-        if (!r.u8(hasCoverage))
-          continue;
-        if (hasCoverage &&
-            (!r.u64(scratch) || !r.u64(scratch) || !r.u64(scratch)))
-          continue;
-        coverageBytes += r.offset - beforeCoverage;
-      }
+      std::uint8_t hasCoverage = 0;
+      const std::size_t beforeCoverage = r.offset;
+      std::uint64_t scratch = 0;
+      if (!r.u8(hasCoverage))
+        continue;
+      if (hasCoverage &&
+          (!r.u64(scratch) || !r.u64(scratch) || !r.u64(scratch)))
+        continue;
+      coverageBytes += r.offset - beforeCoverage;
       modelBytes += r.remaining();
     }
-    std::printf("entries by schema : v1 %zu, v2 %zu (%zu cached "
-                "failures)\n",
-                v1Entries, v2Entries, failureEntries);
+    std::printf("readable entries  : %zu (%zu cached failures)\n", readable,
+                failureEntries);
     std::printf("model bytes       : %llu (%s)\n",
                 static_cast<unsigned long long>(modelBytes),
                 formatBytes(modelBytes).c_str());
@@ -1320,24 +1284,6 @@ int cmdCache(std::vector<std::string> args) {
     return 0;
   }
   if (args[0] == "clear") {
-    if (!flags.schema.empty()) {
-      // `--schema vN` (or plain N): purge only that schema's entries —
-      // the post-migration cleanup path for pre-v2 blobs.
-      std::string digits = flags.schema;
-      if (!digits.empty() && (digits[0] == 'v' || digits[0] == 'V'))
-        digits.erase(0, 1);
-      if (digits.empty() ||
-          digits.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr, "--schema expects v<N> (e.g. v1)\n");
-        return 2;
-      }
-      const auto version =
-          static_cast<std::uint32_t>(std::atol(digits.c_str()));
-      const std::size_t removed = store.clearVersion(version);
-      std::printf("removed %zu schema-v%u cache entries from %s\n", removed,
-                  version, store.directory().c_str());
-      return 0;
-    }
     const std::size_t before = store.entryCount();
     store.clear();
     std::printf("removed %zu cache entries from %s\n", before,
@@ -1502,13 +1448,6 @@ int cmdClient(std::vector<std::string> args) {
   args.erase(args.begin());
 
   server::Client client;
-  if (flags.wireVersion < server::kProtocolVersionMin ||
-      flags.wireVersion > server::kProtocolVersion) {
-    std::fprintf(stderr, "--wire-version must be %u..%u\n",
-                 server::kProtocolVersionMin, server::kProtocolVersion);
-    return 2;
-  }
-  client.setProtocolVersion(flags.wireVersion);
   client.setBusyRetries(flags.busyRetries);
 
   if (action == "ping") {
@@ -1549,11 +1488,10 @@ int cmdClient(std::vector<std::string> args) {
     std::printf("analyze / batch : %llu / %llu\n",
                 static_cast<unsigned long long>(stats.analyzeRequests),
                 static_cast<unsigned long long>(stats.batchRequests));
-    if (flags.wireVersion >= 2)
-      std::printf("coverage / sim  : %llu / %llu (%llu recompiles)\n",
-                  static_cast<unsigned long long>(stats.coverageRequests),
-                  static_cast<unsigned long long>(stats.simulateRequests),
-                  static_cast<unsigned long long>(stats.recompiles));
+    std::printf("coverage / sim  : %llu / %llu (%llu recompiles)\n",
+                static_cast<unsigned long long>(stats.coverageRequests),
+                static_cast<unsigned long long>(stats.simulateRequests),
+                static_cast<unsigned long long>(stats.recompiles));
     std::printf("sources analyzed: %llu (%llu cache hits, %llu computed, "
                 "%llu failed)\n",
                 static_cast<unsigned long long>(stats.sourcesAnalyzed),
@@ -1597,14 +1535,13 @@ int cmdClient(std::vector<std::string> args) {
       std::fprintf(stderr, "client analyze takes exactly one source\n");
       return 2;
     }
-    driver::AnalysisRequest request;
-    if (!loadSource(args[0], request))
+    core::AnalysisSpec spec;
+    if (!loadSource(args[0], spec))
       return 1;
     if (int rc = requireClientConnection(client, flags))
       return rc;
     server::ClientOutcome outcome;
-    if (!client.analyze(request.name, request.source, optionsFor(flags),
-                        outcome))
+    if (!client.analyze(spec.name, spec.source, optionsFor(flags), outcome))
       return clientFailure(client);
     if (!outcome.ok) {
       std::fprintf(stderr, "analysis of %s failed:\n%s\n",
@@ -1612,7 +1549,7 @@ int cmdClient(std::vector<std::string> args) {
       return 1;
     }
     printClientOutcome(outcome);
-    printModelSummary(*outcome.analysis);
+    printModelSummary(outcome.analysis->model);
     if (flags.emitPython) {
       std::puts("");
       std::puts(model::emitPython(outcome.analysis->model).c_str());
@@ -1686,10 +1623,10 @@ int cmdClient(std::vector<std::string> args) {
     }
     std::vector<server::SourceItem> items;
     for (const auto &arg : args) {
-      driver::AnalysisRequest request;
-      if (!loadSource(arg, request))
+      core::AnalysisSpec spec;
+      if (!loadSource(arg, spec))
         return 1;
-      items.push_back({request.name, request.source});
+      items.push_back({spec.name, spec.source});
     }
     if (int rc = requireClientConnection(client, flags))
       return rc;
@@ -1722,21 +1659,20 @@ int cmdClient(std::vector<std::string> args) {
     std::printf("%-24s | %6s | %6s | %8s | %4s | %-5s | %-9s\n", "source",
                 "loops", "stmts", "in-loop", "pct", "cache", "recompile");
     for (const auto &arg : args) {
-      driver::AnalysisRequest request;
-      if (!loadSource(arg, request))
+      core::AnalysisSpec spec;
+      if (!loadSource(arg, spec))
         return 1;
       server::CoverageReply reply;
-      if (!client.coverage(request.name, request.source, optionsFor(flags),
-                           reply))
+      if (!client.coverage(spec.name, spec.source, optionsFor(flags), reply))
         return clientFailure(client);
       if (!reply.ok) {
         allOk = false;
-        std::printf("%-24s | analysis FAILED\n", request.name.c_str());
+        std::printf("%-24s | analysis FAILED\n", spec.name.c_str());
         std::fprintf(stderr, "%s\n", reply.diagnostics.c_str());
         continue;
       }
       std::printf("%-24s | %6zu | %6zu | %8zu | %3.0f%% | %-5s | %-9s\n",
-                  request.name.c_str(), reply.coverage.loops,
+                  spec.name.c_str(), reply.coverage.loops,
                   reply.coverage.statements, reply.coverage.inLoopStatements,
                   reply.coverage.percent(),
                   reply.cacheHit ? "hit" : "miss",
@@ -1783,22 +1719,22 @@ int cmdClient(std::vector<std::string> args) {
       std::fprintf(stderr, "client simulate requires --function NAME\n");
       return 2;
     }
-    driver::AnalysisRequest request;
-    if (!loadSource(args[0], request))
+    core::AnalysisSpec spec;
+    if (!loadSource(args[0], spec))
       return 1;
     if (int rc = requireClientConnection(client, flags))
       return rc;
     server::SimulateReply reply;
-    if (!client.simulate(request.name, request.source, optionsFor(flags),
-                         flags.sim, reply))
+    if (!client.simulate(spec.name, spec.source, optionsFor(flags), flags.sim,
+                         reply))
       return clientFailure(client);
     if (!reply.ok) {
       std::fprintf(stderr, "simulate of %s failed:\n%s\n",
-                   request.name.c_str(), reply.diagnostics.c_str());
+                   spec.name.c_str(), reply.diagnostics.c_str());
       return 1;
     }
     std::printf("simulated %s:%s via daemon in %.4f s (%s%s)\n",
-                request.name.c_str(), flags.sim.function.c_str(),
+                spec.name.c_str(), flags.sim.function.c_str(),
                 static_cast<double>(reply.micros) / 1e6,
                 reply.cacheHit ? "cache hit" : "computed",
                 reply.recompiled ? ", recompiled" : "");

@@ -36,8 +36,8 @@ struct ClientOutcome {
   std::string payload;         ///< raw result payload (byte-comparable)
   /// Deserialized model; null when !ok. Shares no state with the daemon.
   std::shared_ptr<const core::AnalysisResult> analysis;
-  /// Loop-coverage summary riding along in v2 payloads (absent over
-  /// protocol v1 and for entries restored from v1 disk blobs).
+  /// Loop-coverage summary riding along in the payload (absent only
+  /// when the daemon's value carried none).
   std::optional<sema::LoopCoverage> coverage;
 };
 
@@ -58,13 +58,6 @@ public:
     busy,      ///< gave up after the configured Busy retries
   };
 
-  /// Wire dialect to speak: kProtocolVersion (default) or, for
-  /// compatibility testing against older daemons and the v1-client CI
-  /// check, kProtocolVersionMin. Version 1 cannot issue coverage() or
-  /// simulate(). Must be set before the first request.
-  void setProtocolVersion(std::uint32_t version) { version_ = version; }
-  std::uint32_t protocolVersion() const { return version_; }
-
   /// How many times a request refused with Busy is retried (after
   /// sleeping for the daemon's retry hint) before giving up with an
   /// error. 0 = fail on the first Busy.
@@ -84,7 +77,7 @@ public:
   /// Shared secret for daemons started with one: connect()/connectTcp()
   /// then sends a Hello frame as the session's first request and fails
   /// (ErrorKind::connect) unless the daemon answers helloReply. Empty
-  /// (default) skips the handshake. Requires protocol v2.
+  /// (default) skips the handshake.
   void setSecret(const std::string &secret) { secret_ = secret; }
 
   /// Connect to the daemon socket at `path`. False (see lastError()) if
@@ -128,22 +121,22 @@ public:
                         const core::MiraOptions &options,
                         std::vector<ClientOutcome> &outcomes);
 
-  /// Loop-coverage summary of one source (protocol v2). Served from the
-  /// daemon's cached coverage summary when warm — no recompilation.
+  /// Loop-coverage summary of one source. Served from the daemon's
+  /// cached coverage summary when warm — no recompilation.
   bool coverage(const std::string &name, const std::string &source,
                 const core::MiraOptions &options, CoverageReply &reply);
 
-  /// Run the simulator on one source (protocol v2). A warm daemon
-  /// reuses the cached analysis and at most recompiles the binary
-  /// (reply.recompiled); the model stage never re-runs.
+  /// Run the simulator on one source. A warm daemon reuses the cached
+  /// analysis and at most recompiles the binary (reply.recompiled); the
+  /// model stage never re-runs.
   bool simulate(const std::string &name, const std::string &source,
                 const core::MiraOptions &options,
                 const core::SimulationArgs &sim, SimulateReply &reply);
 
   /// Diff two serialized corpus manifests (corpus::serializeManifest
-  /// bytes) on the daemon (protocol v2). The daemon validates both
-  /// blobs and answers the added/changed/removed entry lists that an
-  /// incremental `batch --manifest --since` run would act on.
+  /// bytes) on the daemon. The daemon validates both blobs and answers
+  /// the added/changed/removed entry lists that an incremental
+  /// `batch --manifest --since` run would act on.
   bool manifestDiff(const std::string &oldManifestBytes,
                     const std::string &newManifestBytes,
                     ManifestDiffReply &reply);
@@ -152,9 +145,9 @@ public:
   /// (cumulative counts; the daemon sends one per executed chunk).
   using ProgressFn = std::function<void(const BatchProgress &)>;
 
-  /// Execute a whole corpus manifest on the daemon (protocol v2): the
-  /// daemon diffs against `sinceBytes` (when non-empty), keeps shard
-  /// `shard` of the result, analyzes on its compute pool, and answers
+  /// Execute a whole corpus manifest on the daemon: the daemon diffs
+  /// against `sinceBytes` (when non-empty), keeps shard `shard` of the
+  /// result, analyzes on its compute pool, and answers
   /// one serialized BatchReport (driver::deserializeBatchReport bytes)
   /// that is byte-identical to a local `mira-cli batch --manifest` over
   /// the same manifest, options, and cache. `root` overrides the
@@ -171,9 +164,9 @@ public:
   /// Fetch the daemon's counter block.
   bool cacheStats(ServerStats &stats);
 
-  /// Fetch the daemon's full metrics registry (protocol v2): every
-  /// named counter and gauge, name-sorted — the same numbers the
-  /// --metrics-file dump renders.
+  /// Fetch the daemon's full metrics registry: every named counter and
+  /// gauge, name-sorted — the same numbers the --metrics-file dump
+  /// renders.
   bool metrics(std::vector<MetricSample> &samples);
 
   /// Ask the daemon to shut down cleanly. True once the daemon
@@ -209,7 +202,6 @@ private:
   net::Socket socket_;
   std::string error_;
   ErrorKind kind_ = ErrorKind::none;
-  std::uint32_t version_ = kProtocolVersion;
   std::size_t busy_retries_ = 8;
   int connect_timeout_ = 0;
   int read_timeout_ = 0;

@@ -144,15 +144,14 @@ core::MiraOptions unpackOptions(std::uint8_t flags) {
   return options;
 }
 
-void beginMessage(std::string &out, MessageType type, std::uint32_t version) {
+void beginMessage(std::string &out, MessageType type) {
   bio::putU32(out, kProtocolMagic);
-  bio::putU32(out, version);
+  bio::putU32(out, kProtocolVersion);
   bio::putU8(out, static_cast<std::uint8_t>(type));
 }
 
-bool readHeader(bio::Reader &r, MessageType &type, std::uint32_t &version,
-                std::string &error) {
-  std::uint32_t magic = 0;
+bool readHeader(bio::Reader &r, MessageType &type, std::string &error) {
+  std::uint32_t magic = 0, version = 0;
   std::uint8_t rawType = 0;
   if (!r.u32(magic) || !r.u32(version) || !r.u8(rawType)) {
     error = "short message header";
@@ -162,33 +161,27 @@ bool readHeader(bio::Reader &r, MessageType &type, std::uint32_t &version,
     error = "bad magic (not a Mira protocol message)";
     return false;
   }
-  if (version < kProtocolVersionMin || version > kProtocolVersion) {
+  if (version != kProtocolVersion) {
     error = "unsupported protocol version " + std::to_string(version) +
-            " (this peer speaks " + std::to_string(kProtocolVersionMin) +
-            ".." + std::to_string(kProtocolVersion) + ")";
+            " (this peer speaks " + std::to_string(kProtocolVersion) + ")";
     return false;
   }
   type = static_cast<MessageType>(rawType);
   return true;
 }
 
-bool readHeader(bio::Reader &r, MessageType &type, std::string &error) {
-  std::uint32_t version = 0;
-  return readHeader(r, type, version, error);
-}
-
-std::string encodeEmptyMessage(MessageType type, std::uint32_t version) {
+std::string encodeEmptyMessage(MessageType type) {
   std::string out;
-  beginMessage(out, type, version);
+  beginMessage(out, type);
   return out;
 }
 
 namespace {
 
 std::string encodeSourceRequest(MessageType type, const SourceItem &item,
-                                std::uint8_t flags, std::uint32_t version) {
+                                std::uint8_t flags) {
   std::string out;
-  beginMessage(out, type, version);
+  beginMessage(out, type);
   bio::putU8(out, flags);
   bio::putString(out, item.name);
   bio::putString(out, item.source);
@@ -202,15 +195,14 @@ bool decodeSourceRequestBody(bio::Reader &r, SourceItem &item,
 
 } // namespace
 
-std::string encodeAnalyzeRequest(const SourceItem &item, std::uint8_t flags,
-                                 std::uint32_t version) {
-  return encodeSourceRequest(MessageType::analyze, item, flags, version);
+std::string encodeAnalyzeRequest(const SourceItem &item, std::uint8_t flags) {
+  return encodeSourceRequest(MessageType::analyze, item, flags);
 }
 
 std::string encodeBatchRequest(const std::vector<SourceItem> &items,
-                               std::uint8_t flags, std::uint32_t version) {
+                               std::uint8_t flags) {
   std::string out;
-  beginMessage(out, MessageType::batch, version);
+  beginMessage(out, MessageType::batch);
   bio::putU8(out, flags);
   bio::putU32(out, static_cast<std::uint32_t>(items.size()));
   for (const SourceItem &item : items) {
@@ -221,14 +213,12 @@ std::string encodeBatchRequest(const std::vector<SourceItem> &items,
 }
 
 std::string encodeCoverageRequest(const SourceItem &item, std::uint8_t flags) {
-  return encodeSourceRequest(MessageType::coverage, item, flags,
-                             kProtocolVersion);
+  return encodeSourceRequest(MessageType::coverage, item, flags);
 }
 
 std::string encodeSimulateRequest(const SourceItem &item, std::uint8_t flags,
                                   const core::SimulationArgs &sim) {
-  std::string out = encodeSourceRequest(MessageType::simulate, item, flags,
-                                        kProtocolVersion);
+  std::string out = encodeSourceRequest(MessageType::simulate, item, flags);
   bio::putString(out, sim.function);
   bio::putU8(out, sim.options.fastForward ? 1 : 0);
   bio::putU64(out, sim.options.maxInstructions);
@@ -241,26 +231,22 @@ std::string encodeSimulateRequest(const SourceItem &item, std::uint8_t flags,
 std::string encodeManifestDiffRequest(const std::string &oldManifestBytes,
                                       const std::string &newManifestBytes) {
   std::string out;
-  beginMessage(out, MessageType::manifestDiff, kProtocolVersion);
+  beginMessage(out, MessageType::manifestDiff);
   bio::putString(out, oldManifestBytes);
   bio::putString(out, newManifestBytes);
   return out;
 }
 
-std::string encodeMetricsRequest() {
-  return encodeEmptyMessage(MessageType::metrics, kProtocolVersion);
-}
-
 std::string encodeHelloRequest(const std::string &secret) {
   std::string out;
-  beginMessage(out, MessageType::hello, kProtocolVersion);
+  beginMessage(out, MessageType::hello);
   bio::putString(out, secret);
   return out;
 }
 
 std::string encodeManifestBatchRequest(const ManifestBatchRequest &request) {
   std::string out;
-  beginMessage(out, MessageType::manifestBatch, kProtocolVersion);
+  beginMessage(out, MessageType::manifestBatch);
   bio::putU8(out, request.flags);
   bio::putU8(out, request.progress ? 1 : 0);
   bio::putU32(out, request.shardIndex);
@@ -273,7 +259,7 @@ std::string encodeManifestBatchRequest(const ManifestBatchRequest &request) {
 
 std::string encodeBatchProgress(const BatchProgress &progress) {
   std::string out;
-  beginMessage(out, MessageType::batchProgress, kProtocolVersion);
+  beginMessage(out, MessageType::batchProgress);
   bio::putU32(out, progress.done);
   bio::putU32(out, progress.total);
   bio::putU32(out, progress.failures);
@@ -283,21 +269,21 @@ std::string encodeBatchProgress(const BatchProgress &progress) {
 
 std::string encodeManifestBatchReply(const ManifestBatchReply &reply) {
   std::string out;
-  beginMessage(out, MessageType::manifestBatchReply, kProtocolVersion);
+  beginMessage(out, MessageType::manifestBatchReply);
   bio::putString(out, reply.reportBytes);
   return out;
 }
 
 std::string encodeBusyReply(const BusyReply &reply) {
   std::string out;
-  beginMessage(out, MessageType::busyReply, kProtocolVersion);
+  beginMessage(out, MessageType::busyReply);
   bio::putU32(out, reply.retryAfterMillis);
   return out;
 }
 
 std::string encodeMetricsReply(const std::vector<MetricSample> &samples) {
   std::string out;
-  beginMessage(out, MessageType::metricsReply, kProtocolVersion);
+  beginMessage(out, MessageType::metricsReply);
   bio::putU32(out, static_cast<std::uint32_t>(samples.size()));
   for (const MetricSample &sample : samples) {
     bio::putString(out, sample.name);
@@ -306,10 +292,9 @@ std::string encodeMetricsReply(const std::vector<MetricSample> &samples) {
   return out;
 }
 
-std::string encodeErrorReply(const std::string &message,
-                             std::uint32_t version) {
+std::string encodeErrorReply(const std::string &message) {
   std::string out;
-  beginMessage(out, MessageType::error, version);
+  beginMessage(out, MessageType::error);
   bio::putString(out, message);
   return out;
 }
@@ -357,18 +342,16 @@ bool readServedReplyPrefix(bio::Reader &r, bool &cacheHit, bool &recompiled,
 
 } // namespace
 
-std::string encodeAnalyzeReply(const AnalyzeReply &reply,
-                               std::uint32_t version) {
+std::string encodeAnalyzeReply(const AnalyzeReply &reply) {
   std::string out;
-  beginMessage(out, MessageType::analyzeReply, version);
+  beginMessage(out, MessageType::analyzeReply);
   putAnalyzeReplyBody(out, reply);
   return out;
 }
 
-std::string encodeBatchReply(const std::vector<AnalyzeReply> &replies,
-                             std::uint32_t version) {
+std::string encodeBatchReply(const std::vector<AnalyzeReply> &replies) {
   std::string out;
-  beginMessage(out, MessageType::batchReply, version);
+  beginMessage(out, MessageType::batchReply);
   bio::putU32(out, static_cast<std::uint32_t>(replies.size()));
   for (const AnalyzeReply &reply : replies)
     putAnalyzeReplyBody(out, reply);
@@ -377,7 +360,7 @@ std::string encodeBatchReply(const std::vector<AnalyzeReply> &replies,
 
 std::string encodeCoverageReply(const CoverageReply &reply) {
   std::string out;
-  beginMessage(out, MessageType::coverageReply, kProtocolVersion);
+  beginMessage(out, MessageType::coverageReply);
   putServedReplyPrefix(out, reply.cacheHit, reply.recompiled, reply.micros,
                        reply.ok, reply.diagnostics);
   if (reply.ok) {
@@ -390,7 +373,7 @@ std::string encodeCoverageReply(const CoverageReply &reply) {
 
 std::string encodeSimulateReply(const SimulateReply &reply) {
   std::string out;
-  beginMessage(out, MessageType::simulateReply, kProtocolVersion);
+  beginMessage(out, MessageType::simulateReply);
   putServedReplyPrefix(out, reply.cacheHit, reply.recompiled, reply.micros,
                        reply.ok, reply.diagnostics);
   if (reply.ok)
@@ -429,7 +412,7 @@ bool readManifestEntries(bio::Reader &r,
 
 std::string encodeManifestDiffReply(const ManifestDiffReply &reply) {
   std::string out;
-  beginMessage(out, MessageType::manifestDiffReply, kProtocolVersion);
+  beginMessage(out, MessageType::manifestDiffReply);
   putManifestEntries(out, reply.added);
   putManifestEntries(out, reply.changed);
   bio::putU32(out, static_cast<std::uint32_t>(reply.removed.size()));
@@ -438,10 +421,9 @@ std::string encodeManifestDiffReply(const ManifestDiffReply &reply) {
   return out;
 }
 
-std::string encodeCacheStatsReply(const ServerStats &stats,
-                                  std::uint32_t version) {
+std::string encodeCacheStatsReply(const ServerStats &stats) {
   std::string out;
-  beginMessage(out, MessageType::cacheStatsReply, version);
+  beginMessage(out, MessageType::cacheStatsReply);
   bio::putU64(out, stats.uptimeMicros);
   bio::putU64(out, stats.connectionsAccepted);
   bio::putU64(out, stats.requestsServed);
@@ -459,11 +441,9 @@ std::string encodeCacheStatsReply(const ServerStats &stats,
   bio::putU64(out, stats.diskEntries);
   bio::putU64(out, stats.diskBytes);
   bio::putU64(out, stats.threads);
-  if (version >= 2) {
-    bio::putU64(out, stats.coverageRequests);
-    bio::putU64(out, stats.simulateRequests);
-    bio::putU64(out, stats.recompiles);
-  }
+  bio::putU64(out, stats.coverageRequests);
+  bio::putU64(out, stats.simulateRequests);
+  bio::putU64(out, stats.recompiles);
   return out;
 }
 
@@ -637,8 +617,7 @@ bool decodeMetricsReply(bio::Reader &r, std::vector<MetricSample> &samples) {
   return r.remaining() == 0;
 }
 
-bool decodeCacheStatsReply(bio::Reader &r, ServerStats &stats,
-                           std::uint32_t version) {
+bool decodeCacheStatsReply(bio::Reader &r, ServerStats &stats) {
   if (!(r.u64(stats.uptimeMicros) && r.u64(stats.connectionsAccepted) &&
         r.u64(stats.requestsServed) && r.u64(stats.analyzeRequests) &&
         r.u64(stats.batchRequests) && r.u64(stats.sourcesAnalyzed) &&
@@ -647,17 +626,10 @@ bool decodeCacheStatsReply(bio::Reader &r, ServerStats &stats,
         r.u64(stats.memoryEntries) && r.u64(stats.diskHits) &&
         r.u64(stats.diskMisses) && r.u64(stats.diskStores) &&
         r.u64(stats.diskEntries) && r.u64(stats.diskBytes) &&
-        r.u64(stats.threads)))
-    return false;
-  if (version >= 2 &&
-      !(r.u64(stats.coverageRequests) && r.u64(stats.simulateRequests) &&
-        r.u64(stats.recompiles)))
+        r.u64(stats.threads) && r.u64(stats.coverageRequests) &&
+        r.u64(stats.simulateRequests) && r.u64(stats.recompiles)))
     return false;
   return r.remaining() == 0;
-}
-
-bool decodeCacheStatsReply(bio::Reader &r, ServerStats &stats) {
-  return decodeCacheStatsReply(r, stats, kProtocolVersion);
 }
 
 } // namespace mira::server

@@ -12,14 +12,12 @@
 /// docs/PROTOCOL.md specifies the byte layout normatively so non-C++
 /// clients can speak it too.
 ///
-/// Versioning: the current protocol is version 2, which adds the
-/// Coverage and Simulate requests of the artifact API
-/// (core/artifacts.h) and embeds the schema-v2 artifact payload in
-/// analyze replies. The daemon still serves version-1 peers: every
-/// message carries its version, requests are accepted from
-/// kProtocolVersionMin up, and replies are encoded in the requester's
-/// version (v1 clients get v1 payload bytes, and never see v2-only
-/// message types or stats fields). The ManifestDiff and ManifestBatch
+/// Versioning: the protocol is version 2, which carries the Coverage and
+/// Simulate requests of the artifact API (core/artifacts.h) and embeds
+/// the schema-v2 artifact payload in analyze replies. Every message
+/// carries its version and peers accept exactly kProtocolVersion: a
+/// message of any other version (including the retired version 1) is
+/// answered with Error-and-close. The ManifestDiff and ManifestBatch
 /// requests and the Metrics/Busy/BatchProgress/Hello messages are
 /// additive late-v2 extensions (new message types, no layout changes);
 /// older v2 daemons answer them with Error-and-close like any unknown
@@ -57,14 +55,11 @@ namespace mira::server {
 /// little-endian u32. First field of every message.
 inline constexpr std::uint32_t kProtocolMagic = 0x5072694du;
 
-/// Current protocol version, sent by default. Bump on any change to the
-/// message layouts below or to the artifact payload they embed (i.e.
-/// whenever kCacheSchemaVersion bumps, bump this too).
+/// The protocol version, stamped on every message and the only one
+/// peers accept. Bump on any change to the message layouts below or to
+/// the artifact payload they embed (i.e. whenever kCacheSchemaVersion
+/// bumps, bump this too).
 inline constexpr std::uint32_t kProtocolVersion = 2;
-
-/// Oldest version peers still accept. v1 lacks coverage/simulate and
-/// embeds the v1 outcome payload in analyze replies.
-inline constexpr std::uint32_t kProtocolVersionMin = 1;
 
 /// Default cap on one frame's payload, enforced by both sides. A
 /// declared length beyond the cap is answered with Error and the
@@ -72,7 +67,7 @@ inline constexpr std::uint32_t kProtocolVersionMin = 1;
 inline constexpr std::uint32_t kMaxFrameBytes = 64u * 1024 * 1024;
 
 /// One-byte message type. Requests are < 100; replies are >= 100.
-/// Types marked (v2) are rejected in version-1 messages.
+/// Types marked (v2) were added by protocol version 2.
 enum class MessageType : std::uint8_t {
   // Requests (client -> server).
   ping = 1,       ///< liveness probe; empty body
@@ -135,9 +130,8 @@ struct AnalyzeReply {
   bool cacheHit = false;
   /// Server-side wall time of this request, microseconds.
   std::uint64_t micros = 0;
-  /// The canonical result payload, in the requester's schema:
-  /// driver::serializeArtifactPayload bytes for v2 peers,
-  /// driver::serializeOutcomePayloadV1 bytes for v1 peers.
+  /// The canonical result payload: driver::serializeArtifactPayload
+  /// bytes.
   std::string payload;
 };
 
@@ -225,8 +219,7 @@ struct ManifestBatchReply {
 /// The daemon's answer when a request would exceed its `--max-inflight`
 /// cap (v2, additive): the request was NOT queued or executed; retry it
 /// after the hinted delay. Unlike Error, a Busy reply does NOT close the
-/// connection — the session keeps reading. v1 peers cannot decode this
-/// type, so at capacity they receive Error-and-close instead.
+/// connection — the session keeps reading.
 /// Body: [retryAfterMillis u32].
 struct BusyReply {
   std::uint32_t retryAfterMillis = 0; ///< server-suggested backoff hint
@@ -242,8 +235,7 @@ struct MetricSample {
 
 /// Counter block answered to cacheStats, all u64, in this wire order.
 /// Lifetime counters cover everything since the daemon started. The
-/// last three fields are v2-only: v1 peers receive the block truncated
-/// after `threads` (the v1 layout, unchanged).
+/// last three fields were appended by protocol version 2.
 struct ServerStats {
   std::uint64_t uptimeMicros = 0;        ///< since the daemon started
   std::uint64_t connectionsAccepted = 0; ///< client sessions opened
@@ -267,34 +259,22 @@ struct ServerStats {
   std::uint64_t recompiles = 0;          ///< (v2) recompile-on-demand runs
 };
 
-/// Append the message header (magic, `version`, type) to `out`.
-void beginMessage(std::string &out, MessageType type,
-                  std::uint32_t version = kProtocolVersion);
+/// Append the message header (magic, kProtocolVersion, type) to `out`.
+void beginMessage(std::string &out, MessageType type);
 
-/// Read and validate a message header, accepting any supported version
-/// (kProtocolVersionMin..kProtocolVersion) and reporting which one the
-/// peer spoke. On failure sets `error` and returns false; `type` and
-/// `version` are only meaningful on success.
-bool readHeader(bio::Reader &r, MessageType &type, std::uint32_t &version,
-                std::string &error);
-
-/// Convenience overload for callers that do not branch on the version.
+/// Read and validate a message header: the magic must match and the
+/// version must be kProtocolVersion. On failure sets `error` and returns
+/// false; `type` is only meaningful on success.
 bool readHeader(bio::Reader &r, MessageType &type, std::string &error);
 
-// Encoders. `version` selects the wire dialect; v2-only messages
-// (coverage, simulate and their replies) ignore it and always stamp v2.
-
 /// Build a complete header-only message (ping, pong, cacheStats,
-/// shutdown, shutdownReply).
-std::string encodeEmptyMessage(MessageType type,
-                               std::uint32_t version = kProtocolVersion);
+/// metrics, shutdown, shutdownReply, helloReply).
+std::string encodeEmptyMessage(MessageType type);
 /// Build an analyze request for one source under OptionFlags `flags`.
-std::string encodeAnalyzeRequest(const SourceItem &item, std::uint8_t flags,
-                                 std::uint32_t version = kProtocolVersion);
+std::string encodeAnalyzeRequest(const SourceItem &item, std::uint8_t flags);
 /// Build a batch request; every item shares one OptionFlags byte.
 std::string encodeBatchRequest(const std::vector<SourceItem> &items,
-                               std::uint8_t flags,
-                               std::uint32_t version = kProtocolVersion);
+                               std::uint8_t flags);
 /// Build a coverage request (v2): same body as analyze.
 std::string encodeCoverageRequest(const SourceItem &item, std::uint8_t flags);
 /// Build a simulate request (v2): analyze body + the per-call
@@ -306,8 +286,6 @@ std::string encodeSimulateRequest(const SourceItem &item, std::uint8_t flags,
 /// (corpus::serializeManifest bytes): [old str][new str].
 std::string encodeManifestDiffRequest(const std::string &oldManifestBytes,
                                       const std::string &newManifestBytes);
-/// Build a metrics request (v2): header only, like ping.
-std::string encodeMetricsRequest();
 /// Build a hello handshake request (v2) carrying the shared secret:
 /// [secret str]. Sent as a session's first frame on authenticated
 /// endpoints; answered with helloReply (empty) or Error-and-close.
@@ -323,24 +301,19 @@ std::string encodeBusyReply(const BusyReply &reply);
 /// Build a metricsReply (v2) from a name-sorted sample list.
 std::string encodeMetricsReply(const std::vector<MetricSample> &samples);
 /// Build an Error reply carrying a human-readable description.
-std::string encodeErrorReply(const std::string &message,
-                             std::uint32_t version = kProtocolVersion);
+std::string encodeErrorReply(const std::string &message);
 /// Build an analyzeReply carrying one result.
-std::string encodeAnalyzeReply(const AnalyzeReply &reply,
-                               std::uint32_t version = kProtocolVersion);
+std::string encodeAnalyzeReply(const AnalyzeReply &reply);
 /// Build a batchReply carrying results in request order.
-std::string encodeBatchReply(const std::vector<AnalyzeReply> &replies,
-                             std::uint32_t version = kProtocolVersion);
+std::string encodeBatchReply(const std::vector<AnalyzeReply> &replies);
 /// Build a coverageReply (v2).
 std::string encodeCoverageReply(const CoverageReply &reply);
 /// Build a simulateReply (v2).
 std::string encodeSimulateReply(const SimulateReply &reply);
 /// Build a manifestDiffReply (v2).
 std::string encodeManifestDiffReply(const ManifestDiffReply &reply);
-/// Build a cacheStatsReply from a counter snapshot; v1 peers get the
-/// 17-field v1 block, v2 peers the full 20-field block.
-std::string encodeCacheStatsReply(const ServerStats &stats,
-                                  std::uint32_t version = kProtocolVersion);
+/// Build a cacheStatsReply (the 20-field block) from a counter snapshot.
+std::string encodeCacheStatsReply(const ServerStats &stats);
 
 // Body decoders take a Reader positioned just past the header. Each
 // returns false on any structural problem, including a body that does
@@ -390,10 +363,7 @@ bool decodeManifestDiffReply(bio::Reader &r, ManifestDiffReply &reply);
 bool decodeBusyReply(bio::Reader &r, BusyReply &reply);
 /// Decode a metricsReply body.
 bool decodeMetricsReply(bio::Reader &r, std::vector<MetricSample> &samples);
-/// Decode a cacheStatsReply body of the given dialect (v1 bodies leave
-/// the v2-only fields zero).
-bool decodeCacheStatsReply(bio::Reader &r, ServerStats &stats,
-                           std::uint32_t version);
+/// Decode a cacheStatsReply body.
 bool decodeCacheStatsReply(bio::Reader &r, ServerStats &stats);
 
 /// Canonical byte encoding of a full sim::SimResult (ok, error, return

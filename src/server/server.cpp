@@ -61,8 +61,8 @@ struct AnalysisServer::Session {
   /// order) just before the final reply to that request.
   std::map<std::uint64_t, std::vector<std::string>> progress;
   /// Once the reply at this seq is flushed the connection is cut
-  /// (protocol errors, shutdown acks, and v1 capacity refusals must be
-  /// the last frame the peer sees).
+  /// (protocol errors and shutdown acks must be the last frame the peer
+  /// sees).
   std::uint64_t closeAfterSeq = kNoCloseSeq;
   /// A write failed or closeAfterSeq was flushed: stop writing.
   bool aborted = false;
@@ -98,7 +98,7 @@ AnalysisServer::AnalysisServer(ServerOptions options)
           metrics_.counter("server_manifest_batch_cancelled_total")) {
   driver::BatchOptions batchOptions;
   // Batch requests fan their items across the analyzer's own pool
-  // (analyzeMany), so size it like the compute pool. modelThreads
+  // (analyzeArtifactsMany), so size it like the compute pool. modelThreads
   // additionally fans out per-function model generation inside one
   // request. The analyzer registers its lifetime counters in the
   // daemon's registry so one scrape covers both layers.
@@ -265,8 +265,6 @@ void AnalysisServer::handleConnection(std::shared_ptr<Session> session) {
     if (status == net::FrameStatus::closed)
       break; // client finished cleanly
     if (status == net::FrameStatus::oversized) {
-      // The frame was never parsed, so the peer's dialect is unknown:
-      // answer in v1, which every client version decodes.
       std::uint64_t seq;
       {
         std::lock_guard<std::mutex> lock(session->mutex);
@@ -274,8 +272,7 @@ void AnalysisServer::handleConnection(std::shared_ptr<Session> session) {
       }
       sendErrorAt(session, seq,
                   "frame exceeds " + std::to_string(options_.maxFrameBytes) +
-                      " bytes",
-                  kProtocolVersionMin);
+                      " bytes");
       break;
     }
     if (status != net::FrameStatus::ok) { // truncated or I/O error
@@ -301,12 +298,9 @@ bool AnalysisServer::handleFrame(const std::shared_ptr<Session> &session,
                                  const std::string &message) {
   bio::Reader r{message, 0};
   MessageType type{};
-  std::uint32_t version = 0;
   std::string headerError;
-  if (!readHeader(r, type, version, headerError)) {
-    // The peer's dialect is unknown; v1 error frames are the common
-    // denominator every client version can decode.
-    sendErrorAt(session, seq, headerError, kProtocolVersionMin);
+  if (!readHeader(r, type, headerError)) {
+    sendErrorAt(session, seq, headerError);
     return false;
   }
 
@@ -317,47 +311,45 @@ bool AnalysisServer::handleFrame(const std::shared_ptr<Session> &session,
   // closed connection.
   if (type == MessageType::hello) {
     std::string presented;
-    if (version < 2 || !decodeHelloRequest(r, presented)) {
-      sendErrorAt(session, seq, "malformed hello request", version);
+    if (!decodeHelloRequest(r, presented)) {
+      sendErrorAt(session, seq, "malformed hello request");
       return false;
     }
     if (!options_.secret.empty() && presented != options_.secret) {
-      sendErrorAt(session, seq, "handshake rejected", version);
+      sendErrorAt(session, seq, "handshake rejected");
       return false;
     }
     // A hello on a secretless daemon is accepted too, so clients can
     // always send one without knowing the daemon's configuration.
     session->authed = true;
-    enqueueReply(session, seq,
-                 encodeEmptyMessage(MessageType::helloReply, version), false);
+    enqueueReply(session, seq, encodeEmptyMessage(MessageType::helloReply),
+                 false);
     return true;
   }
   if (!options_.secret.empty() && !session->authed) {
-    sendErrorAt(session, seq, "handshake required", version);
+    sendErrorAt(session, seq, "handshake required");
     return false;
   }
 
   switch (type) {
   case MessageType::ping:
-    enqueueReply(session, seq, encodeEmptyMessage(MessageType::pong, version),
-                 false);
+    enqueueReply(session, seq, encodeEmptyMessage(MessageType::pong), false);
     return true;
 
   case MessageType::analyze: {
     SourceItem item;
     std::uint8_t flags = 0;
     if (!decodeAnalyzeRequest(r, item, flags)) {
-      sendErrorAt(session, seq, "malformed analyze request", version);
+      sendErrorAt(session, seq, "malformed analyze request");
       return false;
     }
     analyze_requests_.increment();
-    if (!admitOrRefuse(session, seq, version))
-      return version >= 2;
-    compute_->submit([this, session, seq, version, item = std::move(item),
-                      flags] {
-      AnalyzeReply reply = analyzeItem(item, flags, version);
+    if (!admitOrRefuse(session, seq))
+      return true;
+    compute_->submit([this, session, seq, item = std::move(item), flags] {
+      AnalyzeReply reply = analyzeItem(item, flags);
       releaseInflight();
-      sendReplyAt(session, seq, encodeAnalyzeReply(reply, version), version);
+      sendReplyAt(session, seq, encodeAnalyzeReply(reply));
     });
     return true;
   }
@@ -366,16 +358,16 @@ bool AnalysisServer::handleFrame(const std::shared_ptr<Session> &session,
     std::vector<SourceItem> items;
     std::uint8_t flags = 0;
     if (!decodeBatchRequest(r, items, flags)) {
-      sendErrorAt(session, seq, "malformed batch request", version);
+      sendErrorAt(session, seq, "malformed batch request");
       return false;
     }
     batch_requests_.increment();
     // A batch holds a single in-flight slot: its items fan across the
     // analyzer's pool (same intra-request parallelism as `mira-cli
     // batch --threads N`), so admitting it per item would double-count.
-    if (!admitOrRefuse(session, seq, version))
-      return version >= 2;
-    compute_->submit([this, session, seq, version, items = std::move(items),
+    if (!admitOrRefuse(session, seq))
+      return true;
+    compute_->submit([this, session, seq, items = std::move(items),
                       flags]() mutable {
       std::vector<core::AnalysisSpec> specs;
       specs.reserve(items.size());
@@ -393,9 +385,9 @@ bool AnalysisServer::handleFrame(const std::shared_ptr<Session> &session,
       std::vector<AnalyzeReply> replies;
       replies.reserve(results.size());
       for (const core::Artifacts &artifacts : results)
-        replies.push_back(replyFor(artifacts, version));
+        replies.push_back(replyFor(artifacts));
       releaseInflight();
-      sendReplyAt(session, seq, encodeBatchReply(replies, version), version);
+      sendReplyAt(session, seq, encodeBatchReply(replies));
     });
     return true;
   }
@@ -403,23 +395,17 @@ bool AnalysisServer::handleFrame(const std::shared_ptr<Session> &session,
   case MessageType::coverage: {
     SourceItem item;
     std::uint8_t flags = 0;
-    if (version < 2) {
-      sendErrorAt(session, seq, "coverage requires protocol version 2",
-                  version);
-      return false;
-    }
     if (!decodeCoverageRequest(r, item, flags)) {
-      sendErrorAt(session, seq, "malformed coverage request", version);
+      sendErrorAt(session, seq, "malformed coverage request");
       return false;
     }
     coverage_requests_.increment();
-    if (!admitOrRefuse(session, seq, version))
+    if (!admitOrRefuse(session, seq))
       return true;
-    compute_->submit([this, session, seq, version, item = std::move(item),
-                      flags] {
+    compute_->submit([this, session, seq, item = std::move(item), flags] {
       CoverageReply reply = coverageItem(item, flags);
       releaseInflight();
-      sendReplyAt(session, seq, encodeCoverageReply(reply), version);
+      sendReplyAt(session, seq, encodeCoverageReply(reply));
     });
     return true;
   }
@@ -428,36 +414,26 @@ bool AnalysisServer::handleFrame(const std::shared_ptr<Session> &session,
     SourceItem item;
     std::uint8_t flags = 0;
     core::SimulationArgs sim;
-    if (version < 2) {
-      sendErrorAt(session, seq, "simulate requires protocol version 2",
-                  version);
-      return false;
-    }
     if (!decodeSimulateRequest(r, item, flags, sim)) {
-      sendErrorAt(session, seq, "malformed simulate request", version);
+      sendErrorAt(session, seq, "malformed simulate request");
       return false;
     }
     simulate_requests_.increment();
-    if (!admitOrRefuse(session, seq, version))
+    if (!admitOrRefuse(session, seq))
       return true;
-    compute_->submit([this, session, seq, version, item = std::move(item),
-                      flags, sim = std::move(sim)] {
+    compute_->submit([this, session, seq, item = std::move(item), flags,
+                      sim = std::move(sim)] {
       SimulateReply reply = simulateItem(item, flags, sim);
       releaseInflight();
-      sendReplyAt(session, seq, encodeSimulateReply(reply), version);
+      sendReplyAt(session, seq, encodeSimulateReply(reply));
     });
     return true;
   }
 
   case MessageType::manifestDiff: {
     std::string oldBytes, newBytes;
-    if (version < 2) {
-      sendErrorAt(session, seq, "manifest-diff requires protocol version 2",
-                  version);
-      return false;
-    }
     if (!decodeManifestDiffRequest(r, oldBytes, newBytes)) {
-      sendErrorAt(session, seq, "malformed manifest-diff request", version);
+      sendErrorAt(session, seq, "malformed manifest-diff request");
       return false;
     }
     // The blobs are validated application payloads, not framing: a bad
@@ -468,13 +444,12 @@ bool AnalysisServer::handleFrame(const std::shared_ptr<Session> &session,
     std::string manifestError;
     if (!corpus::deserializeManifest(oldBytes, oldManifest, manifestError) ||
         !corpus::deserializeManifest(newBytes, newManifest, manifestError)) {
-      sendErrorAt(session, seq, "malformed manifest: " + manifestError,
-                  version);
+      sendErrorAt(session, seq, "malformed manifest: " + manifestError);
       return false;
     }
-    if (!admitOrRefuse(session, seq, version))
+    if (!admitOrRefuse(session, seq))
       return true;
-    compute_->submit([this, session, seq, version,
+    compute_->submit([this, session, seq,
                       oldManifest = std::move(oldManifest),
                       newManifest = std::move(newManifest)] {
       corpus::ManifestDiff diff = corpus::diffManifests(oldManifest,
@@ -484,20 +459,15 @@ bool AnalysisServer::handleFrame(const std::shared_ptr<Session> &session,
       reply.changed = std::move(diff.changed);
       reply.removed = std::move(diff.removed);
       releaseInflight();
-      sendReplyAt(session, seq, encodeManifestDiffReply(reply), version);
+      sendReplyAt(session, seq, encodeManifestDiffReply(reply));
     });
     return true;
   }
 
   case MessageType::manifestBatch: {
-    if (version < 2) {
-      sendErrorAt(session, seq, "manifest-batch requires protocol version 2",
-                  version);
-      return false;
-    }
     ManifestBatchRequest request;
     if (!decodeManifestBatchRequest(r, request)) {
-      sendErrorAt(session, seq, "malformed manifest-batch request", version);
+      sendErrorAt(session, seq, "malformed manifest-batch request");
       return false;
     }
     // Same contract as manifestDiff: the manifest blobs are validated
@@ -508,44 +478,35 @@ bool AnalysisServer::handleFrame(const std::shared_ptr<Session> &session,
     std::string manifestError;
     if (!corpus::deserializeManifest(request.manifestBytes, manifest,
                                      manifestError)) {
-      sendErrorAt(session, seq, "malformed manifest: " + manifestError,
-                  version);
+      sendErrorAt(session, seq, "malformed manifest: " + manifestError);
       return false;
     }
     const bool haveSince = !request.sinceBytes.empty();
     if (haveSince &&
         !corpus::deserializeManifest(request.sinceBytes, since,
                                      manifestError)) {
-      sendErrorAt(session, seq, "malformed manifest: " + manifestError,
-                  version);
+      sendErrorAt(session, seq, "malformed manifest: " + manifestError);
       return false;
     }
     manifest_batch_requests_.increment();
     // One in-flight slot for the whole corpus, like batch: the entries
     // fan across the analyzer's own pool chunk by chunk.
-    if (!admitOrRefuse(session, seq, version))
+    if (!admitOrRefuse(session, seq))
       return true;
-    compute_->submit([this, session, seq, version,
-                      request = std::move(request),
+    compute_->submit([this, session, seq, request = std::move(request),
                       manifest = std::move(manifest), since = std::move(since),
                       haveSince] {
-      runManifestBatch(session, seq, version, request, manifest,
+      runManifestBatch(session, seq, request, manifest,
                        haveSince ? &since : nullptr);
     });
     return true;
   }
 
   case MessageType::cacheStats:
-    enqueueReply(session, seq, encodeCacheStatsReply(snapshotStats(), version),
-                 false);
+    enqueueReply(session, seq, encodeCacheStatsReply(snapshotStats()), false);
     return true;
 
   case MessageType::metrics:
-    if (version < 2) {
-      sendErrorAt(session, seq, "metrics requires protocol version 2",
-                  version);
-      return false;
-    }
     enqueueReply(session, seq, encodeMetricsReply(metricsSamples()), false);
     return true;
 
@@ -553,8 +514,7 @@ bool AnalysisServer::handleFrame(const std::shared_ptr<Session> &session,
     // Acknowledge, sequenced after every earlier reply on this
     // connection: the requester must learn the shutdown was accepted
     // even though the daemon stops reading from everyone next.
-    enqueueReply(session, seq,
-                 encodeEmptyMessage(MessageType::shutdownReply, version),
+    enqueueReply(session, seq, encodeEmptyMessage(MessageType::shutdownReply),
                  true);
     requestStop();
     return false;
@@ -563,8 +523,7 @@ bool AnalysisServer::handleFrame(const std::shared_ptr<Session> &session,
   default:
     sendErrorAt(session, seq,
                 "unexpected message type " +
-                    std::to_string(static_cast<unsigned>(type)),
-                version);
+                    std::to_string(static_cast<unsigned>(type)));
     return false;
   }
 }
@@ -620,8 +579,7 @@ void AnalysisServer::enqueueReply(const std::shared_ptr<Session> &session,
 }
 
 void AnalysisServer::sendReplyAt(const std::shared_ptr<Session> &session,
-                                 std::uint64_t seq, std::string frame,
-                                 std::uint32_t version) {
+                                 std::uint64_t seq, std::string frame) {
   // The frame cap binds both directions: a reply the daemon itself
   // cannot legally frame (a huge batch's aggregated payloads) becomes
   // an Error, not a protocol violation the client chokes on.
@@ -630,18 +588,16 @@ void AnalysisServer::sendReplyAt(const std::shared_ptr<Session> &session,
                 "reply of " + std::to_string(frame.size()) +
                     " bytes exceeds the " +
                     std::to_string(options_.maxFrameBytes) +
-                    "-byte frame cap; split the request",
-                version);
+                    "-byte frame cap; split the request");
     return;
   }
   enqueueReply(session, seq, std::move(frame), false);
 }
 
 void AnalysisServer::sendErrorAt(const std::shared_ptr<Session> &session,
-                                 std::uint64_t seq, const std::string &text,
-                                 std::uint32_t version) {
+                                 std::uint64_t seq, const std::string &text) {
   protocol_errors_.increment();
-  enqueueReply(session, seq, encodeErrorReply(text, version), true);
+  enqueueReply(session, seq, encodeErrorReply(text), true);
 }
 
 void AnalysisServer::sendProgressAt(const std::shared_ptr<Session> &session,
@@ -677,7 +633,7 @@ bool AnalysisServer::batchCancelled(
 }
 
 bool AnalysisServer::admitOrRefuse(const std::shared_ptr<Session> &session,
-                                   std::uint64_t seq, std::uint32_t version) {
+                                   std::uint64_t seq) {
   {
     std::lock_guard<std::mutex> lock(inflight_mutex_);
     if (options_.maxInflight == 0 || inflight_ < options_.maxInflight) {
@@ -686,21 +642,12 @@ bool AnalysisServer::admitOrRefuse(const std::shared_ptr<Session> &session,
     }
   }
   busy_rejections_.increment();
-  if (version >= 2) {
-    // Busy is the one reply that does not end the conversation: the
-    // request was not queued, the connection stays open, and the peer
-    // should retry after the hint.
-    BusyReply busy;
-    busy.retryAfterMillis = options_.busyRetryMillis;
-    enqueueReply(session, seq, encodeBusyReply(busy), false);
-  } else {
-    // v1 peers cannot decode Busy: refuse with the error-and-close
-    // contract they already understand.
-    enqueueReply(session, seq,
-                 encodeErrorReply("daemon is at capacity; retry later",
-                                  version),
-                 true);
-  }
+  // Busy is the one reply that does not end the conversation: the
+  // request was not queued, the connection stays open, and the peer
+  // should retry after the hint.
+  BusyReply busy;
+  busy.retryAfterMillis = options_.busyRetryMillis;
+  enqueueReply(session, seq, encodeBusyReply(busy), false);
   return false;
 }
 
@@ -723,37 +670,29 @@ void AnalysisServer::recordServed(const core::Artifacts &artifacts) {
 }
 
 AnalyzeReply AnalysisServer::analyzeItem(const SourceItem &item,
-                                         std::uint8_t flags,
-                                         std::uint32_t version) {
+                                         std::uint8_t flags) {
   core::AnalysisSpec spec;
   spec.name = item.name;
   spec.source = item.source;
   spec.options = unpackOptions(flags);
   spec.artifacts = core::kArtifactDefault;
-  return replyFor(analyzer_->analyzeArtifacts(spec), version);
+  return replyFor(analyzer_->analyzeArtifacts(spec));
 }
 
-AnalyzeReply AnalysisServer::replyFor(const core::Artifacts &artifacts,
-                                      std::uint32_t version) {
+AnalyzeReply AnalysisServer::replyFor(const core::Artifacts &artifacts) {
   recordServed(artifacts);
 
   AnalyzeReply reply;
   reply.cacheHit = artifacts.cacheHit;
   reply.micros = static_cast<std::uint64_t>(artifacts.seconds * 1e6);
-  // The canonical result payload (docs/CACHING.md format) in the peer's
-  // dialect, named after this request: byte-identical to a one-shot
-  // analyze of the same (source, options), whether served cold, from
-  // memory, or from disk. v2 payloads carry the coverage summary when
-  // the cache has one (always, except entries restored from v1 disk
-  // blobs).
-  if (version >= 2)
-    reply.payload = driver::serializeArtifactPayload(
-        artifacts.model.get(),
-        artifacts.coverage ? &*artifacts.coverage : nullptr,
-        artifacts.diagnostics, artifacts.name);
-  else
-    reply.payload = driver::serializeOutcomePayloadV1(
-        artifacts.resultV1.get(), artifacts.diagnostics, artifacts.name);
+  // The canonical result payload (docs/CACHING.md format), named after
+  // this request: byte-identical to a one-shot analyze of the same
+  // (source, options), whether served cold, from memory, or from disk.
+  // It carries the coverage summary whenever the cache has one.
+  reply.payload = driver::serializeArtifactPayload(
+      artifacts.model.get(),
+      artifacts.coverage ? &*artifacts.coverage : nullptr,
+      artifacts.diagnostics, artifacts.name);
   return reply;
 }
 
@@ -818,7 +757,7 @@ bool readSourceFile(const std::string &path, std::string &out) {
 } // namespace
 
 void AnalysisServer::runManifestBatch(const std::shared_ptr<Session> &session,
-                                      std::uint64_t seq, std::uint32_t version,
+                                      std::uint64_t seq,
                                       const ManifestBatchRequest &request,
                                       const corpus::Manifest &manifest,
                                       const corpus::Manifest *since) {
@@ -843,7 +782,7 @@ void AnalysisServer::runManifestBatch(const std::shared_ptr<Session> &session,
     const std::string path = (root / selection.entries[i].path).string();
     if (!readSourceFile(path, sources[i])) {
       releaseInflight();
-      sendErrorAt(session, seq, "cannot read source '" + path + "'", version);
+      sendErrorAt(session, seq, "cannot read source '" + path + "'");
       return;
     }
   }
@@ -915,7 +854,7 @@ void AnalysisServer::runManifestBatch(const std::shared_ptr<Session> &session,
   ManifestBatchReply reply;
   reply.reportBytes = driver::serializeBatchReport(report);
   releaseInflight();
-  sendReplyAt(session, seq, encodeManifestBatchReply(reply), version);
+  sendReplyAt(session, seq, encodeManifestBatchReply(reply));
 }
 
 void AnalysisServer::refreshGauges() const {

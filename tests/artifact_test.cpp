@@ -1,7 +1,7 @@
-// Artifact-API (v2) tests: the AnalysisSpec/Artifacts surface, the
+// Artifact-API tests: the AnalysisSpec/Artifacts surface, the
 // ProgramHandle recompile-on-demand path, per-request fulfillment
-// planning across memory/disk layers, and cache schema-v2/v1
-// compatibility.
+// planning across memory/disk layers, and the cache's treatment of
+// retired schema-1 entries.
 //
 // Headline invariants pinned here:
 //   * every ArtifactMask combination yields exactly the requested
@@ -11,9 +11,8 @@
 //     zero recompiles and zero model generation;
 //   * warm-disk simulation recompiles parse->codegen exactly once per
 //     (source, options) and never regenerates the model;
-//   * schema-v1 cache entries (including a checked-in v1 blob) still
-//     load, degrading to recompile-on-demand where the summary is
-//     missing.
+//   * a retired schema-1 cache entry is an ordinary miss: not corrupt,
+//     not unlinked, and overwritten by the recompute's schema-2 entry.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -24,6 +23,7 @@
 #include "core/artifacts.h"
 #include "driver/batch.h"
 #include "model/python_emitter.h"
+#include "model/serialize.h"
 #include "server/protocol.h"
 #include "support/binary_io.h"
 #include "support/cache_store.h"
@@ -67,8 +67,16 @@ std::string simBytes(const sim::SimResult &result) {
   return out;
 }
 
+/// The store's file for `key` in `dir`.
+fs::path entryPath(const fs::path &dir, std::uint64_t key) {
+  char name[32];
+  std::snprintf(name, sizeof(name), "%016llx.mira",
+                static_cast<unsigned long long>(key));
+  return dir / name;
+}
+
 /// Write a raw cache entry under `key` with an arbitrary schema
-/// version — how the v1-compat tests plant pre-migration blobs.
+/// version — how the schema test plants a retired-schema entry.
 void writeRawEntry(const fs::path &dir, std::uint64_t key,
                    std::uint32_t version, const std::string &payload) {
   std::string bytes;
@@ -77,10 +85,7 @@ void writeRawEntry(const fs::path &dir, std::uint64_t key,
   bio::putU64(bytes, payload.size());
   bio::putU64(bytes, fnv1a(payload));
   bytes += payload;
-  char name[32];
-  std::snprintf(name, sizeof(name), "%016llx.mira",
-                static_cast<unsigned long long>(key));
-  std::ofstream out(dir / name, std::ios::binary | std::ios::trunc);
+  std::ofstream out(entryPath(dir, key), std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
@@ -109,17 +114,10 @@ TEST(ArtifactApi, MaskMatrixYieldsExactlyTheRequestedArtifacts) {
   }
 }
 
-TEST(ArtifactApi, ResultV1ViewSharesTheModelByteForByte) {
-  // analyzeSource is gone (removed as of schema v2); resultV1 is the
-  // surviving compatibility view and must carry the very same model.
+TEST(ArtifactApi, RepeatedAnalysisIsByteIdentical) {
+  // Two independent runs of the same spec render identically.
   core::Artifacts artifacts = core::analyze(fig5Spec(core::kArtifactDefault));
   ASSERT_TRUE(artifacts.ok);
-  ASSERT_NE(artifacts.resultV1, nullptr);
-  EXPECT_EQ(model::emitPython(*artifacts.model),
-            model::emitPython(artifacts.resultV1->model));
-
-  // Two independent runs of the same spec render identically — the
-  // determinism the deleted v1-shim comparison used to pin.
   core::Artifacts again = core::analyze(fig5Spec(core::kArtifactDefault));
   ASSERT_TRUE(again.ok);
   EXPECT_EQ(model::emitPython(*artifacts.model),
@@ -127,25 +125,21 @@ TEST(ArtifactApi, ResultV1ViewSharesTheModelByteForByte) {
   EXPECT_EQ(artifacts.diagnostics, again.diagnostics);
 }
 
-TEST(ArtifactApi, ResultV1KeepsTheProgramOnlyWhenAsked) {
-  // Without the program bit the compat view holds the model but no IR:
-  // the live handle is the program's only owner.
-  core::Artifacts modelOnly = core::analyze(fig5Spec(core::kArtifactDefault));
-  ASSERT_TRUE(modelOnly.ok) << modelOnly.diagnostics;
-  ASSERT_NE(modelOnly.resultV1, nullptr);
-  EXPECT_EQ(modelOnly.resultV1->program, nullptr);
-  ASSERT_NE(modelOnly.program, nullptr);
-  auto live = modelOnly.program->get();
-  ASSERT_NE(live, nullptr);
-  EXPECT_TRUE(live->unit != nullptr);
+TEST(ArtifactApi, TheModelPinsNoProgram) {
+  // The live handle is the compiled program's only owner: a result kept
+  // for its model alone holds no IR once the handle is dropped.
+  core::Artifacts artifacts = core::analyze(fig5Spec(core::kArtifactDefault));
+  ASSERT_TRUE(artifacts.ok) << artifacts.diagnostics;
+  ASSERT_NE(artifacts.program, nullptr);
+  std::weak_ptr<const core::CompiledProgram> program =
+      artifacts.program->get();
+  ASSERT_FALSE(program.expired());
+  EXPECT_TRUE(program.lock()->unit != nullptr);
 
-  // With it, the view and the handle share one program.
-  core::Artifacts withProgram = core::analyze(
-      fig5Spec(core::kArtifactDefault | core::kArtifactProgram));
-  ASSERT_TRUE(withProgram.ok) << withProgram.diagnostics;
-  ASSERT_NE(withProgram.resultV1, nullptr);
-  ASSERT_NE(withProgram.resultV1->program, nullptr);
-  EXPECT_EQ(withProgram.resultV1->program, withProgram.program->get());
+  artifacts.program.reset();
+  EXPECT_TRUE(program.expired());
+  ASSERT_NE(artifacts.model, nullptr);
+  EXPECT_FALSE(artifacts.model->functions.empty());
 }
 
 TEST(ArtifactApi, SkippingTheModelStillCompilesAndCovers) {
@@ -153,7 +147,6 @@ TEST(ArtifactApi, SkippingTheModelStillCompilesAndCovers) {
       core::analyze(fig5Spec(core::kArtifactCoverage));
   ASSERT_TRUE(artifacts.ok);
   EXPECT_EQ(artifacts.model, nullptr);
-  EXPECT_EQ(artifacts.resultV1, nullptr);
   ASSERT_TRUE(artifacts.coverage.has_value());
   EXPECT_GT(artifacts.coverage->loops, 0u);
   EXPECT_GT(artifacts.coverage->statements, 0u);
@@ -292,7 +285,6 @@ TEST(ArtifactBatch, NoCacheRequestsComputeOnlyWhatWasAsked) {
   ASSERT_TRUE(coverageRun[0].ok);
   EXPECT_TRUE(coverageRun[0].coverage.has_value());
   EXPECT_EQ(coverageRun[0].model, nullptr);
-  EXPECT_EQ(coverageRun[0].resultV1, nullptr);
 
   auto simRun = analyzer.runArtifacts({fig5Spec(core::kArtifactSimulation)});
   ASSERT_TRUE(simRun[0].ok);
@@ -401,120 +393,32 @@ TEST(ArtifactBatch, WarmDiskProgramHandleStaysLazyUntilUsed) {
   EXPECT_TRUE(results[0].program->recompiled());
 }
 
-// --------------------------------------------- schema v1 compatibility
+// ------------------------------------------------ retired schema 1
 
-TEST(ArtifactCompat, V1EntryServesTheModelAndDegradesCoverageToRecompile) {
-  TempDir dir("v1entry");
-
-  // Plant a genuine v1 blob: the v1 payload codec under a version-1
-  // store header — exactly what a PR-2/PR-3 build would have written.
-  core::Artifacts reference = core::analyze(fig5Spec(core::kArtifactAll));
+TEST(ArtifactCompat, SchemaOneEntryIsAMissOverwrittenByTheRecompute) {
+  // A schema-1 entry (the retired `[ok][producer][diagnostics][model]`
+  // payload under a version-1 store header, as an older build wrote it)
+  // is an ordinary other-version miss: not corrupt, not unlinked, and
+  // replaced by the recompute's schema-2 entry under the same key.
+  TempDir dir("schema1");
+  core::Artifacts reference = core::analyze(fig5Spec(core::kArtifactDefault));
   ASSERT_TRUE(reference.ok);
-  const std::string v1Payload = driver::serializeOutcomePayloadV1(
-      reference.resultV1.get(), reference.diagnostics, "@fig5");
-  writeRawEntry(dir.path, driver::requestKey(fig5Spec(core::kArtifactModel)),
-                1, v1Payload);
-
-  driver::BatchOptions options;
-  options.threads = 1;
-  options.cacheDir = dir.str();
-  driver::BatchAnalyzer analyzer(options);
-
-  // Model: served straight from the v1 bytes.
-  auto modelRun = analyzer.runArtifacts({fig5Spec(core::kArtifactModel)});
-  ASSERT_TRUE(modelRun[0].ok);
-  EXPECT_TRUE(modelRun[0].cacheHit);
-  EXPECT_EQ(model::emitPython(*modelRun[0].model),
-            model::emitPython(*reference.model));
-  EXPECT_EQ(analyzer.stats().diskHits, 1u);
-  EXPECT_EQ(analyzer.stats().recompiles, 0u);
-  // No summary in a v1 payload: nothing to attach opportunistically.
-  EXPECT_FALSE(modelRun[0].coverage.has_value());
-
-  // Coverage: the v1 entry has no summary, so fulfillment recompiles
-  // on demand — and the numbers match a live analysis exactly.
-  auto coverageRun =
-      analyzer.runArtifacts({fig5Spec(core::kArtifactCoverage)});
-  ASSERT_TRUE(coverageRun[0].ok);
-  EXPECT_TRUE(coverageRun[0].cacheHit);
-  EXPECT_TRUE(coverageRun[0].recompiled);
-  ASSERT_TRUE(coverageRun[0].coverage.has_value());
-  EXPECT_EQ(coverageRun[0].coverage->loops, reference.coverage->loops);
-  EXPECT_EQ(coverageRun[0].coverage->statements,
-            reference.coverage->statements);
-  EXPECT_EQ(analyzer.stats().recompiles, 1u);
-  EXPECT_EQ(analyzer.stats().coverageFromCache, 0u);
-
-  // Simulation reuses the already-materialized handle: no second
-  // recompile for the same cache value.
-  auto simRun = analyzer.runArtifacts({fig5Spec(core::kArtifactSimulation)});
-  ASSERT_TRUE(simRun[0].ok);
-  EXPECT_FALSE(simRun[0].recompiled);
-  EXPECT_EQ(analyzer.stats().recompiles, 0u);
-  EXPECT_EQ(simBytes(*simRun[0].simulation), simBytes(*reference.simulation));
-}
-
-TEST(ArtifactCompat, CheckedInV1FailureBlobStillLoads) {
-  // A byte-for-byte v1 failure payload as a PR-2 build serialized it:
-  //   [ok=0][producerName "legacy.mc"][diagnostics "legacy.mc:1:5: ..."]
-  // Kept as a literal so codec drift against historical bytes (not just
-  // against our own writer) fails this test.
-  static const unsigned char kV1FailureBlob[] = {
-      0x00,                                                  // ok = 0
-      0x09, 0x00, 0x00, 0x00,                                // len 9
-      'l', 'e', 'g', 'a', 'c', 'y', '.', 'm', 'c',           // producer
-      0x1d, 0x00, 0x00, 0x00,                                // len 29
-      'l', 'e', 'g', 'a', 'c', 'y', '.', 'm', 'c', ':', '1', ':', '5',
-      ':', ' ', 'e', 'r', 'r', 'o', 'r', ':', ' ', 'b', 'r', 'o', 'k',
-      'e', 'n', '\n',
-  };
-  const std::string payload(reinterpret_cast<const char *>(kV1FailureBlob),
-                            sizeof(kV1FailureBlob));
-
-  std::shared_ptr<const core::AnalysisResult> analysis;
-  std::string diagnostics, producer;
-  ASSERT_TRUE(driver::deserializeOutcomePayloadV1(payload, analysis,
-                                                  diagnostics, producer));
-  EXPECT_EQ(analysis, nullptr);
-  EXPECT_EQ(producer, "legacy.mc");
-  EXPECT_EQ(diagnostics, "legacy.mc:1:5: error: broken\n");
-
-  // And through the whole stack: planted under the key of an
-  // identically-failing source, the blob serves the cached failure.
-  TempDir dir("v1blob");
-  core::AnalysisSpec spec;
-  spec.name = "legacy.mc";
-  spec.source = "int broken(";
-  spec.artifacts = core::kArtifactDefault;
-  writeRawEntry(dir.path, driver::requestKey(spec), 1, payload);
-
-  driver::BatchOptions options;
-  options.threads = 1;
-  options.cacheDir = dir.str();
-  driver::BatchAnalyzer analyzer(options);
-  auto results = analyzer.runArtifacts({spec});
-  EXPECT_FALSE(results[0].ok);
-  EXPECT_TRUE(results[0].cacheHit);
-  EXPECT_NE(results[0].diagnostics.find("error: broken"), std::string::npos);
-  EXPECT_EQ(analyzer.stats().diskHits, 1u);
-}
-
-TEST(ArtifactCompat, V2RerunUpgradesNothingButServesSummaries) {
-  // After a v1 entry is recomputed under schema v2 (cache cleared of
-  // the old blob), the new entry carries the summary and coverage stops
-  // recompiling — the migration the CLI's `cache clear --schema v1`
-  // enables.
-  TempDir dir("upgrade");
-  CacheStore store(dir.str());
-  core::Artifacts reference = core::analyze(fig5Spec(core::kArtifactAll));
-  const std::string v1Payload = driver::serializeOutcomePayloadV1(
-      reference.resultV1.get(), reference.diagnostics, "@fig5");
+  std::string schemaOnePayload;
+  bio::putU8(schemaOnePayload, 1);
+  bio::putString(schemaOnePayload, "@fig5");
+  bio::putString(schemaOnePayload, reference.diagnostics);
+  model::serializeModel(*reference.model, schemaOnePayload);
   const std::uint64_t key =
       driver::requestKey(fig5Spec(core::kArtifactModel));
-  writeRawEntry(dir.path, key, 1, v1Payload);
+  writeRawEntry(dir.path, key, 1, schemaOnePayload);
 
-  ASSERT_EQ(store.clearVersion(1), 1u);
-  EXPECT_EQ(store.entryCount(), 0u);
+  // A real load misses without counting corruption or unlinking.
+  CacheStore probe(dir.str());
+  std::uint32_t version = 0;
+  EXPECT_FALSE(probe.load(key, version).has_value());
+  EXPECT_EQ(probe.stats().corrupt, 0u);
+  EXPECT_TRUE(fs::exists(entryPath(dir.path, key)));
+  EXPECT_EQ(probe.keys(), std::vector<std::uint64_t>{key});
 
   driver::BatchOptions options;
   options.threads = 1;
@@ -523,9 +427,21 @@ TEST(ArtifactCompat, V2RerunUpgradesNothingButServesSummaries) {
     driver::BatchAnalyzer recompute(options);
     auto results =
         recompute.runArtifacts({fig5Spec(core::kArtifactCoverage)});
-    ASSERT_TRUE(results[0].ok);
-    EXPECT_FALSE(results[0].cacheHit); // the v1 blob is gone: full compute
+    ASSERT_TRUE(results[0].ok) << results[0].diagnostics;
+    EXPECT_FALSE(results[0].cacheHit); // a disk miss: full compute
+    EXPECT_EQ(recompute.stats().diskHits, 0u);
+    EXPECT_EQ(recompute.stats().diskMisses, 1u);
+    EXPECT_EQ(recompute.stats().diskStores, 1u);
+    EXPECT_EQ(recompute.diskCache()->stats().corrupt, 0u);
+
+    // The recompute overwrote the same key with a schema-2 entry.
+    EXPECT_EQ(recompute.diskCache()->keys(),
+              std::vector<std::uint64_t>{key});
+    ASSERT_TRUE(recompute.diskCache()->peek(key, version).has_value());
+    EXPECT_EQ(version, kCacheSchemaVersion);
   }
+
+  // A fresh analyzer serves coverage from the new entry's summary.
   driver::BatchAnalyzer warm(options);
   auto results = warm.runArtifacts({fig5Spec(core::kArtifactCoverage)});
   ASSERT_TRUE(results[0].ok);
@@ -556,7 +472,7 @@ TEST(ArtifactPayload, RoundTripsModelCoverageAndFailures) {
   EXPECT_EQ(coverage->loops, reference.coverage->loops);
   EXPECT_EQ(producer, "@fig5");
 
-  // Without a summary (a value that round-tripped through v1 bytes).
+  // Without a summary (a value whose summary was never computed).
   const std::string noCoverage = driver::serializeArtifactPayload(
       reference.model.get(), nullptr, reference.diagnostics, "@fig5");
   ASSERT_TRUE(driver::deserializeArtifactPayload(noCoverage, analysis,

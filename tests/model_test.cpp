@@ -11,17 +11,14 @@
 namespace mira {
 namespace {
 
-/// Full static pipeline via the v2 artifact API, in the v1 result shape
-/// (model + live program) these tests consume; null on failure.
-std::shared_ptr<const core::AnalysisResult>
-analyzeFull(const std::string &src, DiagnosticEngine &diags) {
+/// Full static pipeline: the model plus a live program handle.
+core::Artifacts analyzeFull(const std::string &src, DiagnosticEngine &diags) {
   core::AnalysisSpec spec;
   spec.name = "t.mc";
   spec.source = src;
   spec.artifacts = core::kArtifactModel | core::kArtifactDiagnostics |
                    core::kArtifactProgram;
-  core::Artifacts artifacts = core::analyze(spec, diags);
-  return artifacts.ok ? artifacts.resultV1 : nullptr;
+  return core::analyze(spec, diags);
 }
 
 } // namespace
@@ -216,18 +213,17 @@ TEST(Baseline, OverestimatesVectorizedFPI) {
                     "  return y[0];\n"
                     "}";
   DiagnosticEngine diags;
-  auto analysis = analyzeFull(src, diags);
-  ASSERT_TRUE(analysis != nullptr) << diags.str();
-  auto srcOnly = generateSourceOnlyModel(*analysis->program->unit,
-                                         analysis->program->sema.callGraph,
-                                         diags);
+  core::Artifacts analysis = analyzeFull(src, diags);
+  ASSERT_TRUE(analysis.ok) << diags.str();
+  auto program = analysis.program->get();
+  auto srcOnly = generateSourceOnlyModel(*program->unit,
+                                         program->sema.callGraph, diags);
 
   std::int64_t n = 1000;
-  auto r = core::simulate(*analysis->program, "driver",
-                          {sim::Value::ofInt(n)});
+  auto r = core::simulate(*program, "driver", {sim::Value::ofInt(n)});
   ASSERT_TRUE(r.ok);
   double dyn = r.fpiOf("driver");
-  auto mira = analysis->model.evaluate("driver", {{"n", n}});
+  auto mira = analysis.model->evaluate("driver", {{"n", n}});
   auto pb = srcOnly.evaluate("driver", {{"n", n}});
   ASSERT_TRUE(mira && pb);
   // Mira tracks the vectorized binary; the source-only baseline counts
@@ -241,11 +237,11 @@ TEST(Baseline, MatchesSourceOpCountsOnScalarCode) {
                     "  return a * b + a / b;\n"
                     "}";
   DiagnosticEngine diags;
-  auto analysis = analyzeFull(src, diags);
-  ASSERT_TRUE(analysis != nullptr);
-  auto srcOnly = generateSourceOnlyModel(*analysis->program->unit,
-                                         analysis->program->sema.callGraph,
-                                         diags);
+  core::Artifacts analysis = analyzeFull(src, diags);
+  ASSERT_TRUE(analysis.ok);
+  auto program = analysis.program->get();
+  auto srcOnly = generateSourceOnlyModel(*program->unit,
+                                         program->sema.callGraph, diags);
   auto counts = srcOnly.evaluate("f", {});
   ASSERT_TRUE(counts.has_value());
   EXPECT_DOUBLE_EQ(counts->fpInstructions, 3.0); // mul + div + add
@@ -266,9 +262,9 @@ TEST(Bridge, LineQueriesAreConsistent) {
                     "  return s;\n"
                     "}";
   DiagnosticEngine diags;
-  auto analysis = analyzeFull(src, diags);
-  ASSERT_TRUE(analysis != nullptr) << diags.str();
-  const FunctionBridge *fb = analysis->program->bridge->of("f");
+  core::Artifacts analysis = analyzeFull(src, diags);
+  ASSERT_TRUE(analysis.ok) << diags.str();
+  const FunctionBridge *fb = analysis.program->get()->bridge->of("f");
   ASSERT_NE(fb, nullptr);
 
   // The sum over {outside-loops + per-loop bodies + headers} of all lines

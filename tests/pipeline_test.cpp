@@ -15,31 +15,28 @@ std::string workloadFig5() { return workloads::fig5Source(); }
 
 using sim::Value;
 
-/// Full static pipeline via the v2 artifact API, in the v1 result shape
-/// (model + live program) these tests consume; null on failure.
-std::shared_ptr<const AnalysisResult>
-analyzeFull(const std::string &src, const std::string &name,
-            const MiraOptions &options, DiagnosticEngine &diags) {
+/// Full static pipeline: the model plus a live program handle.
+Artifacts analyzeFull(const std::string &src, const std::string &name,
+                      const MiraOptions &options, DiagnosticEngine &diags) {
   AnalysisSpec spec;
   spec.name = name;
   spec.source = src;
   spec.options = options;
   spec.artifacts = kArtifactModel | kArtifactDiagnostics | kArtifactProgram;
-  Artifacts artifacts = analyze(spec, diags);
-  return artifacts.ok ? artifacts.resultV1 : nullptr;
+  return analyze(spec, diags);
 }
 
-std::shared_ptr<const AnalysisResult> analyzeOk(const std::string &src) {
+Artifacts analyzeOk(const std::string &src) {
   DiagnosticEngine diags;
   MiraOptions options;
-  auto result = analyzeFull(src, "pipeline_test.mc", options, diags);
-  EXPECT_TRUE(result != nullptr) << diags.str();
+  Artifacts result = analyzeFull(src, "pipeline_test.mc", options, diags);
+  EXPECT_TRUE(result.ok) << diags.str();
   return result;
 }
 
-double simFPI(const AnalysisResult &analysis, const std::string &fn,
+double simFPI(const Artifacts &analysis, const std::string &fn,
               const std::vector<Value> &args) {
-  auto r = simulate(*analysis.program, fn, args);
+  auto r = simulate(*analysis.program->get(), fn, args);
   EXPECT_TRUE(r.ok) << r.error;
   return r.fpiOf(fn);
 }
@@ -49,7 +46,7 @@ TEST(Pipeline, BinaryAstHasFunctionsAndLines) {
                      "  double y = x * 2.0;\n"
                      "  return y + 1.0;\n"
                      "}");
-  const auto *fn = a->program->binaryAst.find("f");
+  const auto *fn = a.program->get()->binaryAst.find("f");
   ASSERT_NE(fn, nullptr);
   EXPECT_FALSE(fn->instructions.empty());
   // Lines 2 and 3 must be represented in the disassembly.
@@ -64,11 +61,11 @@ TEST(Pipeline, BinaryLoopDiscovery) {
                      "    v[i] = v[i] * 0.5;\n"
                      "  }\n"
                      "}");
-  const auto *fn = a->program->binaryAst.find("f");
+  const auto *fn = a.program->get()->binaryAst.find("f");
   ASSERT_NE(fn, nullptr);
   // Vectorization produces a main loop (step 2) and a remainder (step 1).
   ASSERT_GE(fn->loops.size(), 2u);
-  const auto *bridge = a->program->bridge->of("f");
+  const auto *bridge = a.program->get()->bridge->of("f");
   ASSERT_NE(bridge, nullptr);
   auto binding = bridge->loopsAtLine(2);
   ASSERT_TRUE(binding.isVectorized());
@@ -84,7 +81,7 @@ TEST(Pipeline, ScalarLoopStaysScalar) {
                      "    v[i * 2] = v[i * 2] + 1.0;\n"
                      "  }\n"
                      "}");
-  const auto *bridge = a->program->bridge->of("f");
+  const auto *bridge = a.program->get()->bridge->of("f");
   auto binding = bridge->loopsAtLine(2);
   ASSERT_FALSE(binding.loops.empty());
   EXPECT_FALSE(binding.isVectorized());
@@ -118,9 +115,9 @@ TEST(Pipeline, SimpleVectorLoopFPIExact) {
                      "  return y[0];\n"
                      "}");
   for (std::int64_t n : {1, 2, 7, 64, 129}) {
-    auto staticFPI = a->staticFPI("driver", {{"n", n}});
+    auto staticFPI = a.staticFPI("driver", {{"n", n}});
     ASSERT_TRUE(staticFPI.has_value());
-    double dynamicFPI = simFPI(*a, "driver", {Value::ofInt(n)});
+    double dynamicFPI = simFPI(a, "driver", {Value::ofInt(n)});
     EXPECT_DOUBLE_EQ(*staticFPI, dynamicFPI) << "n=" << n;
   }
 }
@@ -136,9 +133,9 @@ TEST(Pipeline, TriangularNestFPIExact) {
                      "  return acc;\n"
                      "}");
   for (std::int64_t n : {1, 3, 10, 31}) {
-    auto staticFPI = a->staticFPI("tri", {{"n", n}});
+    auto staticFPI = a.staticFPI("tri", {{"n", n}});
     ASSERT_TRUE(staticFPI.has_value());
-    double dynamicFPI = simFPI(*a, "tri", {Value::ofInt(n)});
+    double dynamicFPI = simFPI(a, "tri", {Value::ofInt(n)});
     EXPECT_DOUBLE_EQ(*staticFPI, dynamicFPI) << "n=" << n;
   }
 }
@@ -156,9 +153,9 @@ TEST(Pipeline, BranchInLoopUsesGuardedPolyhedron) {
                      "  return acc;\n"
                      "}");
   for (std::int64_t n : {2, 4, 5, 20}) {
-    auto staticFPI = a->staticFPI("f", {{"n", n}});
+    auto staticFPI = a.staticFPI("f", {{"n", n}});
     ASSERT_TRUE(staticFPI.has_value());
-    double dynamicFPI = simFPI(*a, "f", {Value::ofInt(n)});
+    double dynamicFPI = simFPI(a, "f", {Value::ofInt(n)});
     EXPECT_DOUBLE_EQ(*staticFPI, dynamicFPI) << "n=" << n;
   }
 }
@@ -175,9 +172,9 @@ TEST(Pipeline, ModuloGuardComplementRule) {
                      "  return acc;\n"
                      "}");
   for (std::int64_t n : {3, 4, 8, 17}) {
-    auto staticFPI = a->staticFPI("f", {{"n", n}});
+    auto staticFPI = a.staticFPI("f", {{"n", n}});
     ASSERT_TRUE(staticFPI.has_value());
-    double dynamicFPI = simFPI(*a, "f", {Value::ofInt(n)});
+    double dynamicFPI = simFPI(a, "f", {Value::ofInt(n)});
     EXPECT_DOUBLE_EQ(*staticFPI, dynamicFPI) << "n=" << n;
   }
 }
@@ -195,9 +192,9 @@ TEST(Pipeline, ElseBranchCountsComplement) {
                      "  return acc;\n"
                      "}");
   for (std::int64_t n : {1, 2, 9, 16}) {
-    auto staticFPI = a->staticFPI("f", {{"n", n}});
+    auto staticFPI = a.staticFPI("f", {{"n", n}});
     ASSERT_TRUE(staticFPI.has_value());
-    double dynamicFPI = simFPI(*a, "f", {Value::ofInt(n)});
+    double dynamicFPI = simFPI(a, "f", {Value::ofInt(n)});
     EXPECT_DOUBLE_EQ(*staticFPI, dynamicFPI) << "n=" << n;
   }
 }
@@ -223,20 +220,20 @@ TEST(Pipeline, FunctionCallsCombineLikeHandleFunctionCall) {
                      "  }\n"
                      "  return acc;\n"
                      "}");
-  auto staticFPI = a->staticFPI("driver", {{"n", 20}, {"reps", 7}});
+  auto staticFPI = a.staticFPI("driver", {{"n", 20}, {"reps", 7}});
   ASSERT_TRUE(staticFPI.has_value());
   double dynamicFPI =
-      simFPI(*a, "driver", {Value::ofInt(20), Value::ofInt(7)});
+      simFPI(a, "driver", {Value::ofInt(20), Value::ofInt(7)});
   EXPECT_DOUBLE_EQ(*staticFPI, dynamicFPI);
 }
 
 TEST(Pipeline, MethodCallWithAnnotatedInnerLoop) {
   // The Fig. 5 pattern: annotation parameter surfaces in the model.
   auto a = analyzeOk(workloadFig5());
-  const auto *fooModel = a->model.find("A::foo");
+  const auto *fooModel = a.model->find("A::foo");
   ASSERT_NE(fooModel, nullptr);
   EXPECT_EQ(fooModel->modelName, "A_foo_2");
-  auto params = a->model.requiredParameters("A::foo");
+  auto params = a.model->requiredParameters("A::foo");
   EXPECT_TRUE(params.count("y")) << "annotated bound must be a parameter";
 }
 
@@ -251,10 +248,10 @@ TEST(Pipeline, AnnotatedRatioBranch) {
                      "  }\n"
                      "  return acc;\n"
                      "}");
-  const auto *fn = a->model.find("f");
+  const auto *fn = a.model->find("f");
   ASSERT_NE(fn, nullptr);
   // 25% of n iterations contribute the branch body.
-  auto counts = a->model.evaluate("f", {{"n", 100}});
+  auto counts = a.model->evaluate("f", {{"n", 100}});
   ASSERT_TRUE(counts.has_value());
   // FPI: condition compare is not FPI; body add -> about 25 adds. Loads
   // contribute SSE2 data movement, not FPI. The acc init is folded.
@@ -270,7 +267,7 @@ TEST(Pipeline, SkipAnnotationRemovesScope) {
                      "  }\n"
                      "  return acc;\n"
                      "}");
-  auto counts = a->model.evaluate("f", {{"n", 1000}});
+  auto counts = a.model->evaluate("f", {{"n", 1000}});
   ASSERT_TRUE(counts.has_value());
   // The skipped statement's FP add is absent from the model.
   EXPECT_LT(counts->fpInstructions, 10.0);
@@ -278,7 +275,7 @@ TEST(Pipeline, SkipAnnotationRemovesScope) {
 
 TEST(Pipeline, GeneratedPythonModelHasPaperShape) {
   auto a = analyzeOk(workloadFig5());
-  std::string py = model::emitPython(a->model);
+  std::string py = model::emitPython(*a.model);
   EXPECT_NE(py.find("def A_foo_2("), std::string::npos);
   EXPECT_NE(py.find("def handle_function_call("), std::string::npos);
   EXPECT_NE(py.find("SSE2"), std::string::npos);
@@ -301,9 +298,9 @@ TEST(Pipeline, OptimizationChangesBinaryNotSemantics) {
   opt.compile.compiler.optimize = false;
   opt.compile.compiler.vectorize = false;
   auto plain = analyzeFull(src, "t.mc", opt, d2);
-  ASSERT_TRUE(optimized && plain);
-  auto r1 = simulate(*optimized->program, "f", {Value::ofInt(8)});
-  auto r2 = simulate(*plain->program, "f", {Value::ofInt(8)});
+  ASSERT_TRUE(optimized.ok && plain.ok);
+  auto r1 = simulate(*optimized.program->get(), "f", {Value::ofInt(8)});
+  auto r2 = simulate(*plain.program->get(), "f", {Value::ofInt(8)});
   ASSERT_TRUE(r1.ok && r2.ok);
   EXPECT_DOUBLE_EQ(r1.returnValue.f, 6.0);
   EXPECT_DOUBLE_EQ(r2.returnValue.f, 6.0);
@@ -321,14 +318,14 @@ TEST(Pipeline, ExternCallsAreTheResidualError) {
                      "  mc_print(acc);\n"
                      "  return acc;\n"
                      "}");
-  auto staticFPI = a->staticFPI("f", {{"n", 1000}});
+  auto staticFPI = a.staticFPI("f", {{"n", 1000}});
   ASSERT_TRUE(staticFPI.has_value());
-  auto r = simulate(*a->program, "f", {Value::ofInt(1000)});
+  auto r = simulate(*a.program->get(), "f", {Value::ofInt(1000)});
   ASSERT_TRUE(r.ok);
   double dynamicFPI = r.fpiOf("f");
   EXPECT_LT(*staticFPI, dynamicFPI); // missing library FPI
   EXPECT_LT(relativeError(*staticFPI, dynamicFPI), 0.02); // but small
-  const auto *fn = a->model.find("f");
+  const auto *fn = a.model->find("f");
   ASSERT_NE(fn, nullptr);
   EXPECT_FALSE(fn->exact);
 }

@@ -19,17 +19,14 @@ namespace {
 
 using sim::Value;
 
-/// Full static pipeline via the v2 artifact API, in the v1 result shape
-/// (model + live program) these tests consume; null on failure.
-std::shared_ptr<const core::AnalysisResult>
-analyzeFull(const std::string &src, DiagnosticEngine &diags) {
+/// Full static pipeline: the model plus a live program handle.
+core::Artifacts analyzeFull(const std::string &src, DiagnosticEngine &diags) {
   core::AnalysisSpec spec;
   spec.name = "random.mc";
   spec.source = src;
   spec.artifacts = core::kArtifactModel | core::kArtifactDiagnostics |
                    core::kArtifactProgram;
-  core::Artifacts artifacts = core::analyze(spec, diags);
-  return artifacts.ok ? artifacts.resultV1 : nullptr;
+  return core::analyze(spec, diags);
 }
 
 /// A random but well-formed kernel: up to 3 nested affine loops over a
@@ -116,11 +113,11 @@ TEST_P(RandomKernelFPI, StaticEqualsDynamic) {
     SCOPED_TRACE(src);
     DiagnosticEngine diags;
     auto analysis = analyzeFull(src, diags);
-    ASSERT_TRUE(analysis != nullptr) << diags.str();
+    ASSERT_TRUE(analysis.ok) << diags.str();
     for (std::int64_t n : {1, 2, 7, 13}) {
-      auto staticFPI = analysis->staticFPI("kernel", {{"n", n}});
+      auto staticFPI = analysis.staticFPI("kernel", {{"n", n}});
       ASSERT_TRUE(staticFPI.has_value()) << "n=" << n;
-      auto r = core::simulate(*analysis->program, "kernel",
+      auto r = core::simulate(*analysis.program->get(), "kernel",
                               {Value::ofInt(n)});
       ASSERT_TRUE(r.ok) << r.error;
       EXPECT_DOUBLE_EQ(*staticFPI, r.fpiOf("kernel")) << "n=" << n;
@@ -171,11 +168,11 @@ TEST_P(RandomArrayKernelFPI, StaticEqualsDynamicVectorizedOrNot) {
     SCOPED_TRACE(src);
     DiagnosticEngine diags;
     auto analysis = analyzeFull(src, diags);
-    ASSERT_TRUE(analysis != nullptr) << diags.str();
+    ASSERT_TRUE(analysis.ok) << diags.str();
     for (std::int64_t n : {1, 2, 3, 16, 31}) {
-      auto staticFPI = analysis->staticFPI("driver", {{"n", n}});
+      auto staticFPI = analysis.staticFPI("driver", {{"n", n}});
       ASSERT_TRUE(staticFPI.has_value());
-      auto r = core::simulate(*analysis->program, "driver",
+      auto r = core::simulate(*analysis.program->get(), "driver",
                               {Value::ofInt(n)});
       ASSERT_TRUE(r.ok) << r.error;
       EXPECT_DOUBLE_EQ(*staticFPI, r.fpiOf("driver")) << "n=" << n;

@@ -3,8 +3,8 @@
 //
 // Three layers, all deterministic (fixed seeds, printed on entry so a
 // failure reproduces):
-//   1. round-trip properties — randomized v1/v2 messages encode then
-//      decode to equal values;
+//   1. round-trip properties — randomized messages encode then decode
+//      to equal values;
 //   2. decoder mutation fuzz — truncations, bit flips, and appended
 //      garbage over valid frames (and over the cache/manifest/report
 //      payload codecs) must return false or decode cleanly, never
@@ -54,22 +54,19 @@ SourceItem randomItem(std::mt19937_64 &rng) {
 
 // ------------------------------------------------- round-trip layer
 
-TEST(ProtocolFuzz, RandomRequestsRoundTripBothVersions) {
+TEST(ProtocolFuzz, RandomRequestsRoundTrip) {
   std::mt19937_64 rng(kSeed);
   for (int i = 0; i < 200; ++i) {
-    const std::uint32_t version = (rng() & 1) ? 2u : 1u;
     const std::uint8_t flags = static_cast<std::uint8_t>(rng() & 0x7);
 
     {
       const SourceItem item = randomItem(rng);
-      const std::string wire = encodeAnalyzeRequest(item, flags, version);
+      const std::string wire = encodeAnalyzeRequest(item, flags);
       bio::Reader r{wire, 0};
       MessageType type{};
-      std::uint32_t decodedVersion = 0;
       std::string error;
-      ASSERT_TRUE(readHeader(r, type, decodedVersion, error)) << error;
+      ASSERT_TRUE(readHeader(r, type, error)) << error;
       EXPECT_EQ(type, MessageType::analyze);
-      EXPECT_EQ(decodedVersion, version);
       SourceItem decoded;
       std::uint8_t decodedFlags = 0;
       ASSERT_TRUE(decodeAnalyzeRequest(r, decoded, decodedFlags));
@@ -82,7 +79,7 @@ TEST(ProtocolFuzz, RandomRequestsRoundTripBothVersions) {
       const std::size_t count = rng() % 5;
       for (std::size_t j = 0; j < count; ++j)
         items.push_back(randomItem(rng));
-      const std::string wire = encodeBatchRequest(items, flags, version);
+      const std::string wire = encodeBatchRequest(items, flags);
       bio::Reader r{wire, 0};
       MessageType type{};
       std::string error;
@@ -170,7 +167,7 @@ TEST(ProtocolFuzz, RandomBusyAndMetricsRepliesRoundTrip) {
     }
     {
       // The metrics request itself is an empty-body v2 message.
-      const std::string wire = encodeMetricsRequest();
+      const std::string wire = encodeEmptyMessage(MessageType::metrics);
       bio::Reader r{wire, 0};
       MessageType type{};
       std::string error;
@@ -236,11 +233,9 @@ TEST(ProtocolFuzz, RandomManifestBatchMessagesRoundTrip) {
     const std::string wire = encodeManifestBatchRequest(request);
     bio::Reader r{wire, 0};
     MessageType type{};
-    std::uint32_t version = 0;
     std::string error;
-    ASSERT_TRUE(readHeader(r, type, version, error)) << error;
+    ASSERT_TRUE(readHeader(r, type, error)) << error;
     EXPECT_EQ(type, MessageType::manifestBatch);
-    EXPECT_EQ(version, kProtocolVersion);
     ManifestBatchRequest decoded;
     ASSERT_TRUE(decodeManifestBatchRequest(r, decoded));
     EXPECT_EQ(decoded.flags, request.flags);
@@ -306,9 +301,8 @@ std::string mutate(std::mt19937_64 &rng, const std::string &bytes) {
 void decodeLikeTheServer(const std::string &message) {
   bio::Reader r{message, 0};
   MessageType type{};
-  std::uint32_t version = 0;
   std::string error;
-  if (!readHeader(r, type, version, error))
+  if (!readHeader(r, type, error))
     return;
   SourceItem item;
   std::uint8_t flags = 0;
@@ -387,7 +381,11 @@ TEST(ProtocolFuzz, MutatedFramesNeverCrashTheDecoders) {
   sim.args.push_back(sim::Value::ofInt(3));
   const std::vector<std::string> seeds = {
       encodeAnalyzeRequest({"n", "int f() { return 1; }"}, 0x3),
-      encodeAnalyzeRequest({"n", "src"}, 0x1, 1),
+      [] { // stamped with the retired version 1
+        std::string frame = encodeAnalyzeRequest({"n", "src"}, 0x1);
+        frame[4] = 1;
+        return frame;
+      }(),
       encodeBatchRequest({{"a", "sa"}, {"b", "sb"}}, 0x7),
       encodeCoverageRequest({"c", "sc"}, 0x2),
       encodeSimulateRequest({"s", "ss"}, 0x1, sim),
@@ -435,9 +433,10 @@ TEST(ProtocolFuzz, MutatedFramesNeverCrashTheDecoders) {
 
 TEST(ProtocolFuzz, MutatedPayloadCodecsNeverCrash) {
   std::mt19937_64 rng(kSeed ^ 0x3);
-  // Seed corpus: a v1 payload, a failure payload, a manifest, a report.
-  const std::string v1 =
-      driver::serializeOutcomePayloadV1(nullptr, "diag", "producer");
+  // Seed corpus: a success payload with a coverage summary, a failure
+  // payload, a manifest, a report.
+  const model::PerformanceModel emptyModel;
+  const sema::LoopCoverage coverage{3, 10, 7};
   corpus::Manifest manifest;
   manifest.root = "r";
   manifest.entries = {{"a.mc", 1, 2}, {"b.mc", 3, 4}};
@@ -445,19 +444,14 @@ TEST(ProtocolFuzz, MutatedPayloadCodecsNeverCrash) {
   report.entries.push_back({"a.mc", 0x1234, true});
   report.stats.requests = 1;
   const std::vector<std::string> seeds = {
-      v1,
+      driver::serializeArtifactPayload(&emptyModel, &coverage, "diag",
+                                       "producer"),
       driver::serializeArtifactPayload(nullptr, nullptr, "d", "p"),
       corpus::serializeManifest(manifest),
       driver::serializeBatchReport(report),
   };
   for (int i = 0; i < 3000; ++i) {
     std::string bytes = mutate(rng, seeds[rng() % seeds.size()]);
-    {
-      std::shared_ptr<const core::AnalysisResult> analysis;
-      std::string diagnostics, producer;
-      (void)driver::deserializeOutcomePayloadV1(bytes, analysis, diagnostics,
-                                                producer);
-    }
     {
       std::shared_ptr<const core::AnalysisResult> analysis;
       std::optional<sema::LoopCoverage> coverage;
@@ -612,8 +606,8 @@ TEST(ServerFuzz, MalformedTruncatedOversizedAnswerErrorThenCloseNoFdLeak) {
       break;
     }
     case 2: {
-      // Oversized declared length: Error (v1 dialect) without reading
-      // the body, then close.
+      // Oversized declared length: Error without reading the body,
+      // then close.
       std::string error;
       net::Socket sock =
           net::connectUnix(fixture.options.socketPath, error);

@@ -113,14 +113,15 @@ TEST(ProtocolCodec, RejectsBadMagicAndVersion) {
     EXPECT_FALSE(readHeader(r, type, error));
     EXPECT_NE(error.find("magic"), std::string::npos);
   }
-  {
+  // The version field: a future version, the retired version 1, and 0.
+  for (const char version : {99, 1, 0}) {
     std::string bad = wire;
-    bad[4] = 99; // version field
+    bad[4] = version;
     bio::Reader r{bad, 0};
     MessageType type{};
     std::string error;
-    EXPECT_FALSE(readHeader(r, type, error));
-    EXPECT_NE(error.find("version"), std::string::npos);
+    EXPECT_FALSE(readHeader(r, type, error)) << int(version);
+    EXPECT_NE(error.find("version"), std::string::npos) << error;
   }
   {
     std::string truncated = wire.substr(0, 6);
@@ -712,83 +713,53 @@ TEST(AnalysisServerTest, WarmDiskSimulateRecompilesWithoutRecomputing) {
   std::filesystem::remove_all(cacheDir);
 }
 
-TEST(AnalysisServerTest, V1ClientIsServedV1PayloadsByTheV2Daemon) {
+TEST(AnalysisServerTest, V1FrameGetsErrorAndCloseThenV2ClientIsServed) {
   DaemonFixture daemon;
   ASSERT_TRUE(daemon.started());
 
-  // The v1 reference payload for this (source, options, name).
-  DiagnosticEngine diags;
-  core::MiraOptions options;
-  core::AnalysisSpec spec;
-  spec.name = "@fig5";
-  spec.source = workloads::fig5Source();
-  spec.options = options;
-  spec.artifacts = core::kArtifactModel | core::kArtifactDiagnostics;
-  core::Artifacts direct = core::analyze(spec, diags);
-  ASSERT_TRUE(direct.ok && direct.resultV1) << diags.str();
-  const std::string expected = driver::serializeOutcomePayloadV1(
-      direct.resultV1.get(), diags.str(), "@fig5");
+  // A well-formed analyze frame stamped with the retired version 1.
+  std::string frame =
+      encodeAnalyzeRequest({"@fig5", workloads::fig5Source()}, 0x3);
+  frame[4] = 1; // version field, bytes [4, 8)
+  {
+    std::string error;
+    net::Socket raw = net::connectUnix(daemon.socketPath(), error);
+    ASSERT_TRUE(raw.valid()) << error;
+    ASSERT_TRUE(net::writeFrame(raw.fd(), frame));
+    std::string reply;
+    ASSERT_EQ(net::readFrame(raw.fd(), reply, kMaxFrameBytes),
+              net::FrameStatus::ok);
+    bio::Reader r{reply, 0};
+    MessageType type{};
+    std::string headerError;
+    ASSERT_TRUE(readHeader(r, type, headerError)) << headerError;
+    EXPECT_EQ(type, MessageType::error);
+    std::string message;
+    ASSERT_TRUE(decodeErrorReply(r, message));
+    EXPECT_NE(message.find("unsupported protocol version 1"),
+              std::string::npos)
+        << message;
+    // Error-then-close: the daemon sends nothing more on this session.
+    EXPECT_EQ(net::readFrame(raw.fd(), reply, kMaxFrameBytes),
+              net::FrameStatus::closed);
+  }
 
-  Client v1;
-  v1.setProtocolVersion(1);
-  ASSERT_TRUE(v1.connect(daemon.socketPath())) << v1.lastError();
-  EXPECT_TRUE(v1.ping()) << v1.lastError();
-
+  // A fresh client is served normally: the refused frame computed
+  // nothing, so its analyze is the daemon's first.
+  Client client;
+  ASSERT_TRUE(client.connect(daemon.socketPath())) << client.lastError();
+  EXPECT_TRUE(client.ping()) << client.lastError();
   ClientOutcome outcome;
-  ASSERT_TRUE(v1.analyze("@fig5", workloads::fig5Source(), options, outcome))
-      << v1.lastError();
+  ASSERT_TRUE(client.analyze("@fig5", workloads::fig5Source(),
+                             core::MiraOptions(), outcome))
+      << client.lastError();
   EXPECT_TRUE(outcome.ok);
-  EXPECT_EQ(outcome.payload, expected)
-      << "v1 peers must keep receiving v1 payload bytes";
-  EXPECT_FALSE(outcome.coverage.has_value());
-
-  // The 17-field v1 stats block still decodes for v1 peers.
+  EXPECT_FALSE(outcome.cacheHit);
+  EXPECT_TRUE(outcome.coverage.has_value());
   ServerStats stats;
-  ASSERT_TRUE(v1.cacheStats(stats)) << v1.lastError();
+  ASSERT_TRUE(client.cacheStats(stats)) << client.lastError();
   EXPECT_EQ(stats.sourcesAnalyzed, 1u);
-
-  // v2-only requests are refused client-side under v1...
-  CoverageReply coverage;
-  EXPECT_FALSE(v1.coverage("@fig5", workloads::fig5Source(), options,
-                           coverage));
-  EXPECT_NE(v1.lastError().find("protocol version 2"), std::string::npos);
-
-  // ...and server-side if a peer forges a v1 frame with a v2 type.
-  std::string error;
-  net::Socket raw = net::connectUnix(daemon.socketPath(), error);
-  ASSERT_TRUE(raw.valid()) << error;
-  SourceItem item{"@fig5", workloads::fig5Source()};
-  std::string forged;
-  beginMessage(forged, MessageType::coverage, 1);
-  bio::putU8(forged, 0);
-  bio::putString(forged, item.name);
-  bio::putString(forged, item.source);
-  ASSERT_TRUE(net::writeFrame(raw.fd(), forged));
-  std::string reply;
-  ASSERT_EQ(net::readFrame(raw.fd(), reply, kMaxFrameBytes),
-            net::FrameStatus::ok);
-  bio::Reader r{reply, 0};
-  MessageType type{};
-  std::string headerError;
-  ASSERT_TRUE(readHeader(r, type, headerError)) << headerError;
-  EXPECT_EQ(type, MessageType::error);
-  std::string message;
-  ASSERT_TRUE(decodeErrorReply(r, message));
-  EXPECT_NE(message.find("protocol version 2"), std::string::npos);
-
-  // A v2 client on the same daemon sees the coverage summary inside
-  // its analyze payload — same model bytes, richer envelope.
-  Client v2;
-  ASSERT_TRUE(v2.connect(daemon.socketPath())) << v2.lastError();
-  ClientOutcome v2Outcome;
-  ASSERT_TRUE(v2.analyze("@fig5", workloads::fig5Source(), options,
-                         v2Outcome))
-      << v2.lastError();
-  EXPECT_TRUE(v2Outcome.cacheHit);
-  EXPECT_TRUE(v2Outcome.coverage.has_value());
-  EXPECT_NE(v2Outcome.payload, outcome.payload);
-  EXPECT_EQ(model::emitPython(v2Outcome.analysis->model),
-            model::emitPython(outcome.analysis->model));
+  EXPECT_EQ(stats.protocolErrors, 1u);
 }
 
 TEST(ProtocolCodec, CoverageAndSimulateRepliesRoundTrip) {
@@ -804,11 +775,9 @@ TEST(ProtocolCodec, CoverageAndSimulateRepliesRoundTrip) {
   std::string wire = encodeCoverageReply(coverage);
   bio::Reader r{wire, 0};
   MessageType type{};
-  std::uint32_t version = 0;
   std::string error;
-  ASSERT_TRUE(readHeader(r, type, version, error)) << error;
+  ASSERT_TRUE(readHeader(r, type, error)) << error;
   EXPECT_EQ(type, MessageType::coverageReply);
-  EXPECT_EQ(version, kProtocolVersion);
   CoverageReply decoded;
   ASSERT_TRUE(decodeCoverageReply(r, decoded));
   EXPECT_TRUE(decoded.cacheHit);
@@ -823,7 +792,7 @@ TEST(ProtocolCodec, CoverageAndSimulateRepliesRoundTrip) {
   sim.options.maxInstructions = 123456789;
   std::string request = encodeSimulateRequest({"k.mc", "int k;"}, 0x3, sim);
   bio::Reader sr{request, 0};
-  ASSERT_TRUE(readHeader(sr, type, version, error)) << error;
+  ASSERT_TRUE(readHeader(sr, type, error)) << error;
   EXPECT_EQ(type, MessageType::simulate);
   SourceItem item;
   std::uint8_t flags = 0;
@@ -1048,11 +1017,9 @@ TEST(ProtocolCodec, ManifestBatchMessagesRoundTrip) {
 
   bio::Reader r{wire, 0};
   MessageType type{};
-  std::uint32_t version = 0;
   std::string error;
-  ASSERT_TRUE(readHeader(r, type, version, error)) << error;
+  ASSERT_TRUE(readHeader(r, type, error)) << error;
   EXPECT_EQ(type, MessageType::manifestBatch);
-  EXPECT_EQ(version, kProtocolVersion);
   ManifestBatchRequest decoded;
   ASSERT_TRUE(decodeManifestBatchRequest(r, decoded));
   EXPECT_EQ(decoded.flags, 0x5);
@@ -1096,7 +1063,7 @@ TEST(ProtocolCodec, ManifestBatchDecoderRejectsBadScalarFields) {
   const std::string wire = encodeManifestBatchRequest(good);
   const std::size_t headerSize = [] {
     std::string h;
-    beginMessage(h, MessageType::manifestBatch, kProtocolVersion);
+    beginMessage(h, MessageType::manifestBatch);
     return h.size();
   }();
 

@@ -477,5 +477,46 @@ TEST(CacheCli, StatsOnNonexistentDirectoryFailsLoudly) {
   EXPECT_FALSE(fs::exists(missing));
 }
 
+TEST(CliFlags, NumericValuesAreParsedStrictly) {
+  // A numeric flag whose value is empty, non-numeric, or carries
+  // trailing garbage takes the usage exit (2) with one diagnostic naming
+  // the flag — it must never run with a silently substituted 0. Every
+  // case is bounded (an instruction cap, a socket nobody listens on) so
+  // a regression fails fast instead of simulating or serving for long.
+  TempDir dir("numericflags");
+  const fs::path log = dir.path / "flags.log";
+  const std::vector<std::string> simulate = {
+      "simulate", "@fig5", "--function", "fig5_main", "--max-instructions",
+      "100000", "--sim-arg"};
+  const auto with = [](std::vector<std::string> args, const char *value) {
+    args.push_back(value);
+    return args;
+  };
+  const struct {
+    std::vector<std::string> args;
+    std::string diagnostic;
+  } cases[] = {
+      {{"analyze", "@fig5", "--threads", "abc"},
+       "--threads: invalid value 'abc'"},
+      {{"analyze", "@fig5", "--threads", ""}, "--threads: invalid value ''"},
+      {with(simulate, "1x"), "--sim-arg: invalid value '1x'"},
+      {with(simulate, "sixty"), "--sim-arg: invalid value 'sixty'"},
+      {with(simulate, "2.5e"), "--sim-arg: invalid value '2.5e'"},
+      {{"client", "ping", "--socket", (dir.path / "none.sock").string(),
+        "--connect-timeout", "1.5s"},
+       "--connect-timeout: invalid value '1.5s'"},
+  };
+  for (const auto &c : cases) {
+    EXPECT_EQ(runCli(c.args, log), 2) << c.diagnostic;
+    const std::string output = readFile(log);
+    EXPECT_NE(output.find(c.diagnostic), std::string::npos) << output;
+  }
+
+  // Well-formed values still parse (and the clamps still apply).
+  EXPECT_EQ(runCli({"analyze", "@fig5", "--threads", "0"}, log), 0)
+      << readFile(log);
+  EXPECT_EQ(runCli(with(simulate, "8"), log), 0) << readFile(log);
+}
+
 } // namespace
 } // namespace mira
