@@ -777,15 +777,7 @@ std::vector<core::Artifacts> BatchAnalyzer::analyzeArtifactsMany(
 std::vector<core::Artifacts>
 BatchAnalyzer::runArtifacts(const std::vector<core::AnalysisSpec> &specs) {
   auto start = std::chrono::steady_clock::now();
-  std::vector<core::Artifacts> results(specs.size());
-  const std::vector<SpecGroup> groups = groupSpecs(specs);
-  for (const SpecGroup &group : groups) {
-    pool_.submit([this, &specs, &results, &group] {
-      analyzeGroup(specs, group, results);
-    });
-  }
-  pool_.waitIdle();
-
+  std::vector<core::Artifacts> results = analyzeArtifactsMany(specs);
   // Per-result provenance flags, not registry deltas: the flags sum to
   // the same numbers for this (non-concurrent) call, and they keep the
   // per-run view correct even when the registry is shared with daemon

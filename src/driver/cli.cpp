@@ -29,17 +29,17 @@
 //       merge --out FILE <reports...>  fold per-shard batch reports into
 //           the single report a 1-process run would have written.
 //
-//   mira-cli coverage [--threads N] [--compare-serial] [--cache-dir DIR]
-//            [--via-daemon --socket PATH]
-//       Drive the ten Table I kernels plus the fig-series workloads
-//       through the artifact engine; print loop-coverage numbers next to
-//       the paper's. With --cache-dir a warm run answers entirely from
-//       the schema-v2 coverage summaries (zero recompiles, shown in the
-//       stats line); --via-daemon asks a running daemon instead.
+//   mira-cli coverage [sources...] [--threads N] [--compare-serial]
+//            [--cache-dir DIR]
+//       Without sources, drive the ten Table I kernels plus the
+//       fig-series workloads through the artifact engine and print
+//       loop-coverage numbers next to the paper's; with sources, print
+//       their per-source coverage rows. With --cache-dir a warm run
+//       answers entirely from the schema-v2 coverage summaries (zero
+//       recompiles, shown in the stats line).
 //
 //   mira-cli simulate <file.mc|@workload> --function NAME [--sim-arg V]...
 //            [--fast-forward] [--max-instructions N] [--cache-dir DIR]
-//            [--via-daemon --socket PATH]
 //       Run the dynamic simulator (the TAU/PAPI stand-in) on one source.
 //       With a warm cache or daemon the model is never regenerated: the
 //       binary comes back through a recompile-on-demand handle
@@ -70,13 +70,14 @@
 //
 //   mira-cli client <analyze|batch|coverage|simulate|manifest-diff|
 //            cache-stats|metrics|ping|shutdown>
-//            (--socket PATH | --connect HOST:PORT) [sources...]
-//            [--secret S] [--connect-timeout SECONDS]
-//            [--no-optimize] [--no-vectorize]
-//            [--emit-python] [--busy-retries N]
+//            (--socket PATH | --connect HOST:PORT) [--secret S]
+//            [--connect-timeout SECONDS] [--busy-retries N] [args...]
 //       Talk to a running daemon over the wire protocol
-//       (docs/PROTOCOL.md). Busy refusals are retried with the daemon's
-//       backoff hint up to --busy-retries times.
+//       (docs/PROTOCOL.md). `client analyze|batch|coverage|simulate` is
+//       the same command as the local one, run by the daemon: same
+//       arguments, same tables, tagged "via daemon". Busy refusals are
+//       retried with the daemon's backoff hint up to --busy-retries
+//       times.
 //       `client batch --manifest FILE [--since OLD] [--shard I/N]
 //       [--root DIR] [--report FILE] [--progress]` executes a whole
 //       corpus on the daemon: report and cache directory come out
@@ -115,9 +116,11 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <unistd.h>
@@ -152,11 +155,10 @@ int usage(const char *argv0) {
       "          [--cache-dir DIR] [--cache-limit BYTES]\n"
       "          [--manifest FILE [--since OLD] [--shard I/N] [--root DIR]]\n"
       "          [--report FILE]\n"
-      "  coverage [--threads N] [--compare-serial] [--cache-dir DIR]\n"
-      "          [--via-daemon --socket PATH]\n"
+      "  coverage [sources...] [--threads N] [--compare-serial]\n"
+      "          [--cache-dir DIR]\n"
       "  simulate <file.mc|@workload> --function NAME [--sim-arg V]...\n"
       "          [--fast-forward] [--max-instructions N] [--cache-dir DIR]\n"
-      "          [--via-daemon --socket PATH]\n"
       "  manifest build <dir> --out FILE [--ext .mc]...\n"
       "  manifest diff <old.manifest> <new.manifest>\n"
       "  manifest merge --out FILE <reports...>\n"
@@ -167,9 +169,8 @@ int usage(const char *argv0) {
       "          [--drain-timeout SECONDS] [--metrics-file PATH]\n"
       "  client <analyze|batch|coverage|simulate|manifest-diff|cache-stats|\n"
       "          metrics|ping|shutdown> (--socket PATH | --connect HOST:PORT)\n"
-      "          [sources...] [--secret S] [--connect-timeout SECONDS]\n"
-      "          [--no-optimize] [--no-vectorize] [--emit-python]\n"
-      "          [--busy-retries N] [--function NAME] [--sim-arg V] [--fast-forward]\n"
+      "          [--secret S] [--connect-timeout SECONDS] [--busy-retries N]\n"
+      "          [analyze|batch|coverage|simulate arguments as above]\n"
       "  client batch --manifest FILE [--since OLD] [--shard I/N]\n"
       "          [--root DIR] [--report FILE] [--progress] --socket PATH\n"
       "  coordinate --manifest FILE --workers host:port[,host:port...]\n"
@@ -250,7 +251,6 @@ struct CommonFlags {
   std::string cacheDir;
   std::uint64_t cacheBytesLimit = 0;
   std::string socketPath;
-  bool viaDaemon = false;       ///< serve coverage/simulate over the wire
   std::size_t maxInflight = 0;  ///< serve --max-inflight (0 = unlimited)
   double drainTimeoutSeconds = 5.0; ///< serve --drain-timeout
   std::string metricsFile;      ///< serve --metrics-file
@@ -503,8 +503,6 @@ bool parseFlags(std::vector<std::string> &args, CommonFlags &flags) {
       flags.sim.options.fastForward = true;
     } else if (a == "--progress") {
       flags.progress = true;
-    } else if (a == "--via-daemon") {
-      flags.viaDaemon = true;
     } else if (a == "--no-cache") {
       flags.useCache = false;
     } else if (a == "--compare-serial") {
@@ -546,89 +544,16 @@ driver::BatchOptions batchOptionsFor(const CommonFlags &flags,
   return options;
 }
 
-/// Print the per-source status table and batch totals; returns the batch
-/// wall time (negative on any failure).
-double printOutcomes(const std::vector<core::Artifacts> &outcomes,
-                     const driver::BatchStats &stats, std::size_t threads,
-                     bool quiet) {
-  bool allOk = true;
-  if (!quiet)
-    std::printf("%-24s | %-6s | %-5s | %9s\n", "source", "status", "cache",
-                "seconds");
-  for (const auto &outcome : outcomes) {
-    allOk = allOk && outcome.ok;
-    if (quiet)
-      continue;
-    std::printf("%-24s | %-6s | %-5s | %9.4f\n", outcome.name.c_str(),
-                outcome.ok ? "ok" : "FAILED",
-                outcome.cacheHit ? "hit" : "miss", outcome.seconds);
-    if (!outcome.ok)
-      std::fprintf(stderr, "%s\n", outcome.diagnostics.c_str());
-  }
-  if (!quiet) {
-    std::printf("%zu sources, %zu failures, cache %zu hit / %zu miss, "
-                "%.4f s on %zu threads\n",
-                stats.requests, stats.failures, stats.cacheHits,
-                stats.cacheMisses, stats.wallSeconds, threads);
-    if (stats.diskHits + stats.diskMisses + stats.diskStores > 0)
-      std::printf("disk cache: %zu hit / %zu miss, %zu stored\n",
-                  stats.diskHits, stats.diskMisses, stats.diskStores);
-  }
-  return allOk ? stats.wallSeconds : -1.0;
-}
-
-/// Run the specs through a fresh analyzer and print the table.
-double runBatch(const std::vector<core::AnalysisSpec> &specs,
-                const driver::BatchOptions &batchOptions, bool quiet) {
-  driver::BatchAnalyzer analyzer(batchOptions);
-  auto outcomes = analyzer.runArtifacts(specs);
-  return printOutcomes(outcomes, analyzer.stats(), batchOptions.threads,
-                       quiet);
-}
-
-void printSpeedup(double serialSeconds, double parallelSeconds,
-                  std::size_t threads) {
-  if (serialSeconds <= 0 || parallelSeconds <= 0)
-    return;
-  std::printf("serial %.4f s -> parallel %.4f s on %zu threads: %.2fx "
-              "speedup\n",
-              serialSeconds, parallelSeconds, threads,
-              serialSeconds / parallelSeconds);
-}
-
-int cmdAnalyze(std::vector<std::string> args) {
-  CommonFlags flags;
-  if (!parseFlags(args, flags) || args.size() != 1)
-    return 2;
-  core::AnalysisSpec spec;
-  if (!loadSource(args[0], spec))
-    return 1;
+/// The spec for one positional source: pipeline options from the flags,
+/// artifacts from the command. False (with a message) when the source
+/// cannot be read.
+bool sourceSpec(const std::string &arg, const CommonFlags &flags,
+                core::ArtifactMask artifacts, core::AnalysisSpec &spec) {
+  if (!loadSource(arg, spec))
+    return false;
   spec.options = optionsFor(flags);
-
-  // One request: the batch pool is a single thread, but --model-threads
-  // still fans out per-function model generation, and --cache-dir makes
-  // repeated analyses of an unchanged source near-free.
-  driver::BatchOptions batchOptions = batchOptionsFor(flags, 1);
-  // For a single request the cache only matters as the disk level;
-  // --no-cache still wins over --cache-dir.
-  batchOptions.useCache = flags.useCache && !flags.cacheDir.empty();
-  driver::BatchAnalyzer analyzer(batchOptions);
-  const core::Artifacts outcome = analyzer.analyzeArtifacts(spec);
-  if (!outcome.ok) {
-    std::fprintf(stderr, "analysis of %s failed:\n%s\n",
-                 outcome.name.c_str(), outcome.diagnostics.c_str());
-    return 1;
-  }
-  if (!outcome.diagnostics.empty())
-    std::fprintf(stderr, "%s\n", outcome.diagnostics.c_str());
-  std::printf("analyzed %s in %.4f s%s\n", outcome.name.c_str(),
-              outcome.seconds, outcome.cacheHit ? " (disk cache)" : "");
-  printModelSummary(*outcome.model);
-  if (flags.emitPython) {
-    std::puts("");
-    std::puts(model::emitPython(*outcome.model).c_str());
-  }
-  return 0;
+  spec.artifacts = artifacts;
+  return true;
 }
 
 // --------------------------------------------------------- manifests
@@ -782,20 +707,308 @@ int cmdManifest(std::vector<std::string> args) {
   return 2;
 }
 
+// ----------------------------------------------------------- backends
+
+/// Unified `mira-cli client` failure diagnostic: every daemon
+/// conversation that fails prints one `mira-cli client: <reason>` line
+/// to stderr, and the exit status tells scripts which class of failure
+/// it was without parsing that text: 3 = could not connect (no daemon
+/// there), 4 = the connection died or broke protocol mid-conversation,
+/// 1 = the daemon (or the analysis itself) refused or failed.
+/// tests/server_test.cpp pins both the format and the codes.
+int clientFailure(const server::Client &client) {
+  std::fprintf(stderr, "mira-cli client: %s\n", client.lastError().c_str());
+  switch (client.lastErrorKind()) {
+  case server::Client::ErrorKind::connect:
+    return 3;
+  case server::Client::ErrorKind::transport:
+  case server::Client::ErrorKind::protocol:
+    return 4;
+  default:
+    return 1;
+  }
+}
+
+int requireClientConnection(server::Client &client,
+                            const CommonFlags &flags) {
+  if (flags.socketPath.empty() && flags.connectSpec.empty()) {
+    std::fprintf(stderr,
+                 "client requires --socket PATH or --connect HOST:PORT\n");
+    return 2;
+  }
+  if (!flags.socketPath.empty() && !flags.connectSpec.empty()) {
+    std::fprintf(stderr, "--socket and --connect are mutually exclusive\n");
+    return 2;
+  }
+  client.setConnectTimeoutMillis(
+      static_cast<int>(flags.connectTimeoutSeconds * 1000.0));
+  client.setSecret(flags.secret);
+  if (!flags.connectSpec.empty()) {
+    std::string host, parseError;
+    std::uint16_t port = 0;
+    if (!net::parseHostPort(flags.connectSpec, host, port, parseError)) {
+      std::fprintf(stderr, "--connect: %s\n", parseError.c_str());
+      return 2;
+    }
+    if (!client.connectTcp(host, port))
+      return clientFailure(client);
+    return 0;
+  }
+  if (!client.connect(flags.socketPath))
+    return clientFailure(client);
+  return 0;
+}
+
+/// The daemon endpoint the flags name, for messages.
+const std::string &endpointOf(const CommonFlags &flags) {
+  return flags.socketPath.empty() ? flags.connectSpec : flags.socketPath;
+}
+
+/// Where an analysis command's specs are fulfilled: in this process or
+/// on a daemon. `X ...` and `client X ...` run the same command function,
+/// which validates its arguments, builds its specs and prints; a backend
+/// only turns specs into core::Artifacts and prints what only it knows,
+/// the totals under a status table. Methods returning int give 0 or the
+/// exit status of a failure they already reported.
+class Backend {
+public:
+  /// " via daemon" on the remote backend, empty in-process.
+  virtual const char *tag() const = 0;
+  /// One spec as one request.
+  virtual int one(const core::AnalysisSpec &spec,
+                  core::Artifacts &result) = 0;
+  /// A table's worth of specs; results come back in spec order.
+  virtual int many(const std::vector<core::AnalysisSpec> &specs,
+                   std::vector<core::Artifacts> &results) = 0;
+  /// `batch --manifest FILE`: plan and run a whole corpus manifest.
+  virtual int manifestBatch() = 0;
+  /// The totals line(s) under a status table; `artifactRun` marks a
+  /// coverage/simulate run.
+  virtual void printTotals(const std::vector<core::Artifacts> &results,
+                           bool artifactRun) = 0;
+
+protected:
+  ~Backend() = default;
+};
+
+/// Print the per-source status table, with a recompile column for
+/// coverage/simulate runs, then the backend's totals. True when every
+/// source succeeded.
+bool printOutcomes(const std::vector<core::Artifacts> &results,
+                   Backend &backend, bool artifactRun) {
+  std::printf("%-24s | %-6s | %-5s | ", "source", "status", "cache");
+  if (artifactRun)
+    std::printf("%-9s | ", "recompile");
+  std::printf("%9s\n", "seconds");
+  bool allOk = true;
+  for (const core::Artifacts &artifacts : results) {
+    allOk = allOk && artifacts.ok;
+    std::printf("%-24s | %-6s | %-5s | ", artifacts.name.c_str(),
+                artifacts.ok ? "ok" : "FAILED",
+                artifacts.cacheHit ? "hit" : "miss");
+    if (artifactRun)
+      std::printf("%-9s | ", artifacts.recompiled ? "yes" : "no");
+    std::printf("%9.4f\n", artifacts.seconds);
+    if (!artifacts.ok)
+      std::fprintf(stderr, "%s\n", artifacts.diagnostics.c_str());
+  }
+  backend.printTotals(results, artifactRun);
+  return allOk;
+}
+
+/// In-process: a fresh driver::BatchAnalyzer per run, configured by the
+/// flags (--threads, --cache-dir, --cache-limit, --model-threads, ...).
+class LocalBackend final : public Backend {
+public:
+  explicit LocalBackend(const CommonFlags &flags) : flags_(flags) {}
+
+  const char *tag() const override { return ""; }
+
+  int one(const core::AnalysisSpec &spec, core::Artifacts &result) override {
+    // One request: the batch pool is a single thread, but --model-threads
+    // still fans out per-function model generation. The cache only
+    // matters as the disk level, and --no-cache still wins over
+    // --cache-dir.
+    driver::BatchOptions options = batchOptionsFor(flags_, 1);
+    options.useCache = flags_.useCache && !flags_.cacheDir.empty();
+    result = driver::BatchAnalyzer(options).analyzeArtifacts(spec);
+    return 0;
+  }
+
+  int many(const std::vector<core::AnalysisSpec> &specs,
+           std::vector<core::Artifacts> &results) override {
+    driver::BatchAnalyzer analyzer(batchOptionsFor(flags_, flags_.threads));
+    results = analyzer.runArtifacts(specs);
+    stats_ = analyzer.stats();
+    if (flags_.compareSerial) {
+      // The serial reference run skips the disk cache: it would otherwise
+      // be warmed by the parallel run above and win every comparison.
+      driver::BatchAnalyzer serial(batchOptionsFor(flags_, 1, false));
+      serial.runArtifacts(specs);
+      serialSeconds_ = serial.stats().wallSeconds;
+    }
+    return 0;
+  }
+
+  int manifestBatch() override;
+
+  void printTotals(const std::vector<core::Artifacts> &,
+                   bool artifactRun) override {
+    std::printf("%zu sources, %zu failures, cache %zu hit / %zu miss, "
+                "%.4f s on %zu threads\n",
+                stats_.requests, stats_.failures, stats_.cacheHits,
+                stats_.cacheMisses, stats_.wallSeconds, flags_.threads);
+    if (artifactRun)
+      std::printf("artifacts: %zu coverage (%zu from cached summaries), "
+                  "%zu simulations, %zu recompiles\n",
+                  stats_.coverageArtifacts, stats_.coverageFromCache,
+                  stats_.simulationArtifacts, stats_.recompiles);
+    if (stats_.diskHits + stats_.diskMisses + stats_.diskStores > 0)
+      std::printf("disk cache: %zu hit / %zu miss, %zu stored\n",
+                  stats_.diskHits, stats_.diskMisses, stats_.diskStores);
+    if (flags_.compareSerial && stats_.failures == 0)
+      std::printf("serial %.4f s -> parallel %.4f s on %zu threads: %.2fx "
+                  "speedup\n",
+                  serialSeconds_, stats_.wallSeconds, flags_.threads,
+                  serialSeconds_ / stats_.wallSeconds);
+  }
+
+private:
+  const CommonFlags &flags_;
+  driver::BatchStats stats_;  ///< of the last many()
+  double serialSeconds_ = 0;  ///< --compare-serial reference wall time
+};
+
+/// The one conversion from a daemon reply into core::Artifacts. An
+/// analyze/batch outcome carries the model (aliased into its decoded
+/// AnalysisResult) and any coverage summary; Coverage and Simulate
+/// replies carry their one artifact and the recompile flag.
+template <typename Reply>
+core::Artifacts fromReply(const core::AnalysisSpec &spec,
+                          const Reply &reply) {
+  core::Artifacts artifacts;
+  artifacts.name = spec.name;
+  artifacts.ok = reply.ok;
+  artifacts.cacheHit = reply.cacheHit;
+  artifacts.diagnostics = reply.diagnostics;
+  artifacts.seconds = static_cast<double>(reply.micros) / 1e6;
+  if constexpr (std::is_same_v<Reply, server::ClientOutcome>) {
+    if (reply.analysis)
+      artifacts.model = std::shared_ptr<const model::PerformanceModel>(
+          reply.analysis, &reply.analysis->model);
+    artifacts.coverage = reply.coverage;
+  } else if constexpr (std::is_same_v<Reply, server::CoverageReply>) {
+    artifacts.recompiled = reply.recompiled;
+    if (reply.ok)
+      artifacts.coverage = reply.coverage;
+  } else {
+    artifacts.recompiled = reply.recompiled;
+    if (reply.ok)
+      artifacts.simulation =
+          std::make_shared<const sim::SimResult>(reply.result);
+  }
+  return artifacts;
+}
+
+/// A daemon over the wire protocol. It connects on first use through
+/// requireClientConnection, so every remote run honors --socket or
+/// --connect, --secret, --connect-timeout, --busy-retries and the
+/// client exit contract (0/1/3/4). Each spec travels as the request of
+/// its kind: Analyze, Coverage or Simulate; a model table as one Batch.
+class RemoteBackend final : public Backend {
+public:
+  explicit RemoteBackend(const CommonFlags &flags) : flags_(flags) {
+    client_.setBusyRetries(flags.busyRetries);
+  }
+
+  const char *tag() const override { return " via daemon"; }
+
+  int one(const core::AnalysisSpec &spec, core::Artifacts &result) override {
+    if (int rc = connect())
+      return rc;
+    bool answered = false;
+    if (spec.artifacts & core::kArtifactSimulation) {
+      server::SimulateReply reply;
+      answered = client_.simulate(spec.name, spec.source, spec.options,
+                                  spec.simulation, reply);
+      result = fromReply(spec, reply);
+    } else if (spec.artifacts & core::kArtifactCoverage) {
+      server::CoverageReply reply;
+      answered =
+          client_.coverage(spec.name, spec.source, spec.options, reply);
+      result = fromReply(spec, reply);
+    } else {
+      server::ClientOutcome outcome;
+      answered =
+          client_.analyze(spec.name, spec.source, spec.options, outcome);
+      result = fromReply(spec, outcome);
+    }
+    return answered ? 0 : clientFailure(client_);
+  }
+
+  int many(const std::vector<core::AnalysisSpec> &specs,
+           std::vector<core::Artifacts> &results) override {
+    results.resize(specs.size());
+    // The protocol batches only model requests; coverage goes one
+    // Coverage request per source.
+    if (specs.front().artifacts & core::kArtifactCoverage) {
+      for (std::size_t i = 0; i < specs.size(); ++i)
+        if (int rc = one(specs[i], results[i]))
+          return rc;
+      return 0;
+    }
+    std::vector<server::SourceItem> items;
+    items.reserve(specs.size());
+    for (const core::AnalysisSpec &spec : specs)
+      items.push_back({spec.name, spec.source});
+    if (int rc = connect())
+      return rc;
+    std::vector<server::ClientOutcome> outcomes;
+    if (!client_.analyzeBatch(items, specs.front().options, outcomes))
+      return clientFailure(client_);
+    for (std::size_t i = 0; i < specs.size(); ++i)
+      results[i] = fromReply(specs[i], outcomes[i]);
+    return 0;
+  }
+
+  int manifestBatch() override;
+
+  void printTotals(const std::vector<core::Artifacts> &results,
+                   bool) override {
+    std::size_t hits = 0, recompiles = 0;
+    for (const core::Artifacts &artifacts : results) {
+      hits += artifacts.cacheHit ? 1 : 0;
+      recompiles += artifacts.recompiled ? 1 : 0;
+    }
+    std::printf("%zu sources via daemon at %s: %zu cache hits, "
+                "%zu recompiles\n",
+                results.size(), endpointOf(flags_).c_str(), hits,
+                recompiles);
+  }
+
+private:
+  int connect() {
+    return client_.connected() ? 0 : requireClientConnection(client_, flags_);
+  }
+
+  const CommonFlags &flags_;
+  server::Client client_;
+};
+
 /// `batch --manifest`: the request list comes from a corpus manifest —
 /// optionally only what changed since an older one, optionally only
 /// this process's deterministic shard of the keys.
-int runManifestBatch(const CommonFlags &flags) {
+int LocalBackend::manifestBatch() {
   std::string error;
   corpus::Manifest manifest;
-  if (!corpus::loadManifestFile(flags.manifestPaths[0], manifest, error)) {
+  if (!corpus::loadManifestFile(flags_.manifestPaths[0], manifest, error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
 
   corpus::Manifest old;
-  const bool haveSince = !flags.sincePath.empty();
-  if (haveSince && !corpus::loadManifestFile(flags.sincePath, old, error)) {
+  const bool haveSince = !flags_.sincePath.empty();
+  if (haveSince && !corpus::loadManifestFile(flags_.sincePath, old, error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
@@ -803,43 +1016,41 @@ int runManifestBatch(const CommonFlags &flags) {
   // Diff, merge, and shard via the one selection routine the daemon's
   // manifestBatch handler uses too, so both paths pick the same entries
   // in the same (manifest path) order.
-  const core::MiraOptions options = optionsFor(flags);
+  const core::MiraOptions options = optionsFor(flags_);
   const driver::ManifestSelection selection = driver::selectManifestEntries(
-      manifest, haveSince ? &old : nullptr, options, flags.shard);
+      manifest, haveSince ? &old : nullptr, options, flags_.shard);
   const std::vector<corpus::ManifestEntry> &mine = selection.entries;
 
   const std::string root =
-      flags.rootOverride.empty() ? manifest.root : flags.rootOverride;
+      flags_.rootOverride.empty() ? manifest.root : flags_.rootOverride;
   std::vector<core::AnalysisSpec> specs;
   specs.reserve(mine.size());
   for (const auto &entry : mine) {
     core::AnalysisSpec spec;
     const std::string path =
         (std::filesystem::path(root) / entry.path).string();
-    if (!loadSource(path, spec))
+    if (!sourceSpec(path, flags_, core::kArtifactDefault, spec))
       return 1;
     spec.name = entry.path; // table/report identity = manifest path
-    spec.options = options;
     specs.push_back(std::move(spec));
   }
 
-  driver::BatchAnalyzer analyzer(batchOptionsFor(flags, flags.threads));
-  auto outcomes = analyzer.runArtifacts(specs);
-  const double wall =
-      printOutcomes(outcomes, analyzer.stats(), flags.threads, false);
+  std::vector<core::Artifacts> outcomes;
+  many(specs, outcomes);
+  const bool allOk = printOutcomes(outcomes, *this, false);
   std::printf("manifest: %zu of %zu entries selected", mine.size(),
               manifest.entries.size());
   if (haveSince)
     std::printf(" (%zu added, %zu changed, %zu removed skipped)",
                 selection.added, selection.changed, selection.removed);
-  if (flags.shard.count > 1)
-    std::printf(" [shard %zu/%zu]", flags.shard.index + 1,
-                flags.shard.count);
+  if (flags_.shard.count > 1)
+    std::printf(" [shard %zu/%zu]", flags_.shard.index + 1,
+                flags_.shard.count);
   std::printf("\n");
 
-  if (!flags.reportPath.empty()) {
+  if (!flags_.reportPath.empty()) {
     driver::BatchReport report;
-    report.stats = analyzer.stats();
+    report.stats = stats_;
     report.entries.reserve(outcomes.size());
     // Report keys come from the manifest hash (already computed for the
     // shard filter), not a second rehash of the source bytes — so they
@@ -849,28 +1060,111 @@ int runManifestBatch(const CommonFlags &flags) {
           {outcomes[i].name,
            driver::requestKeyFromContentHash(mine[i].contentHash, options),
            outcomes[i].ok});
-    if (!writeFileBytes(flags.reportPath,
+    if (!writeFileBytes(flags_.reportPath,
                         driver::serializeBatchReport(report)))
       return 1;
   }
-  return wall < 0 ? 1 : 0;
+  return allOk ? 0 : 1;
 }
 
-int cmdBatch(std::vector<std::string> args) {
-  CommonFlags flags;
-  if (!parseFlags(args, flags))
+/// `client batch --manifest`: the daemon executes the whole corpus and
+/// answers one deterministic report — byte-identical (report and cache
+/// dir) to a local `mira-cli batch --manifest` over the same manifest,
+/// options, and cache directory.
+int RemoteBackend::manifestBatch() {
+  std::string manifestBytes, sinceBytes;
+  if (!readFileBytes(flags_.manifestPaths[0], manifestBytes))
+    return 1;
+  if (!flags_.sincePath.empty() && !readFileBytes(flags_.sincePath, sinceBytes))
+    return 1;
+  if (int rc = connect())
+    return rc;
+  server::Client::ProgressFn onProgress;
+  if (flags_.progress)
+    onProgress = [](const server::BatchProgress &p) {
+      // Progress is operator feedback, not results: stderr, so
+      // stdout stays byte-comparable with and without --progress.
+      std::fprintf(stderr,
+                   "progress: %u/%u analyzed, %u failures, "
+                   "%u cache hits\n",
+                   p.done, p.total, p.failures, p.cacheHits);
+    };
+  std::string reportBytes;
+  if (!client_.manifestBatch(manifestBytes, sinceBytes, flags_.rootOverride,
+                             flags_.shard, optionsFor(flags_), onProgress,
+                             reportBytes))
+    return clientFailure(client_);
+  driver::BatchReport report;
+  std::string error;
+  if (!driver::deserializeBatchReport(reportBytes, report, error)) {
+    std::fprintf(stderr, "mira-cli client: malformed report from "
+                         "daemon: %s\n",
+                 error.c_str());
+    return 4;
+  }
+  std::printf("%-24s | %-6s | %16s\n", "source", "status", "key");
+  for (const auto &entry : report.entries)
+    std::printf("%-24s | %-6s | %016llx\n", entry.name.c_str(),
+                entry.ok ? "ok" : "FAILED",
+                static_cast<unsigned long long>(entry.key));
+  printReportSummary(report);
+  // The daemon's report bytes go to disk untouched: `manifest
+  // merge` and byte-comparisons see exactly what a local shard
+  // run would have written.
+  if (!flags_.reportPath.empty() &&
+      !writeFileBytes(flags_.reportPath, reportBytes))
+    return 1;
+  return report.stats.failures == 0 ? 0 : 1;
+}
+
+// -------------------------------------------------- analysis commands
+//
+// One function per analysis command, shared by `X ...` (LocalBackend)
+// and `client X ...` (RemoteBackend): the two spellings parse, validate
+// and print identically.
+
+int cmdAnalyze(const CommonFlags &flags, const std::vector<std::string> &args,
+               Backend &backend) {
+  if (args.size() != 1) {
+    std::fprintf(stderr, "analyze takes exactly one source\n");
     return 2;
+  }
+  core::AnalysisSpec spec;
+  if (!sourceSpec(args[0], flags, core::kArtifactDefault, spec))
+    return 1;
+  core::Artifacts artifacts;
+  if (int rc = backend.one(spec, artifacts))
+    return rc;
+  if (!artifacts.ok) {
+    std::fprintf(stderr, "analysis of %s failed:\n%s\n",
+                 artifacts.name.c_str(), artifacts.diagnostics.c_str());
+    return 1;
+  }
+  if (!artifacts.diagnostics.empty())
+    std::fprintf(stderr, "%s\n", artifacts.diagnostics.c_str());
+  std::printf("analyzed %s%s in %.4f s (%s)\n", artifacts.name.c_str(),
+              backend.tag(), artifacts.seconds,
+              artifacts.cacheHit ? "cache hit" : "computed");
+  printModelSummary(*artifacts.model);
+  if (flags.emitPython) {
+    std::puts("");
+    std::puts(model::emitPython(*artifacts.model).c_str());
+  }
+  return 0;
+}
+
+int cmdBatch(const CommonFlags &flags, const std::vector<std::string> &args,
+             Backend &backend) {
   if (!flags.manifestPaths.empty()) {
     if (!args.empty()) {
-      std::fprintf(stderr,
-                   "batch --manifest takes no positional sources\n");
+      std::fprintf(stderr, "batch --manifest takes no positional sources\n");
       return 2;
     }
     if (flags.manifestPaths.size() > 1) {
       std::fprintf(stderr, "batch takes exactly one --manifest\n");
       return 2;
     }
-    return runManifestBatch(flags);
+    return backend.manifestBatch();
   }
   if (!flags.reportPath.empty() || !flags.sincePath.empty() ||
       !flags.rootOverride.empty() || flags.shardGiven) {
@@ -878,39 +1172,32 @@ int cmdBatch(std::vector<std::string> args) {
                  "--report/--since/--shard/--root require --manifest FILE\n");
     return 2;
   }
-  if (args.empty())
+  if (args.empty()) {
+    std::fprintf(stderr, "batch needs at least one source\n");
     return 2;
-  std::vector<core::AnalysisSpec> specs;
-  for (const auto &arg : args) {
-    core::AnalysisSpec spec;
-    if (!loadSource(arg, spec))
+  }
+  std::vector<core::AnalysisSpec> specs(args.size());
+  for (std::size_t i = 0; i < args.size(); ++i)
+    if (!sourceSpec(args[i], flags, core::kArtifactDefault, specs[i]))
       return 1;
-    spec.options = optionsFor(flags);
-    specs.push_back(std::move(spec));
-  }
-
-  double parallelSeconds =
-      runBatch(specs, batchOptionsFor(flags, flags.threads), false);
-  if (flags.compareSerial) {
-    // The serial reference run skips the disk cache: it would otherwise
-    // be warmed by the parallel run above and win every comparison.
-    double serialSeconds =
-        runBatch(specs, batchOptionsFor(flags, 1, false), true);
-    printSpeedup(serialSeconds, parallelSeconds, flags.threads);
-  }
-  return parallelSeconds < 0 ? 1 : 0;
+  std::vector<core::Artifacts> results;
+  if (int rc = backend.many(specs, results))
+    return rc;
+  return printOutcomes(results, backend, false) ? 0 : 1;
 }
 
+constexpr core::ArtifactMask kCoverageArtifacts =
+    core::kArtifactCoverage | core::kArtifactDiagnostics;
+
 /// The Table I kernels then the fig-series workloads, as coverage specs.
-std::vector<core::AnalysisSpec> coverageSpecs(const CommonFlags &flags) {
+std::vector<core::AnalysisSpec> coverageSuiteSpecs(const CommonFlags &flags) {
   std::vector<core::AnalysisSpec> specs;
   const auto add = [&](std::string name, std::string source) {
     core::AnalysisSpec spec;
     spec.name = std::move(name);
     spec.source = std::move(source);
-    spec.options = optionsFor(flags); // same options (and cache keys) as
-                                      // the --via-daemon path
-    spec.artifacts = core::kArtifactCoverage | core::kArtifactDiagnostics;
+    spec.options = optionsFor(flags);
+    spec.artifacts = kCoverageArtifacts;
     specs.push_back(std::move(spec));
   };
   for (const auto &kernel : workloads::coverageSuite())
@@ -920,19 +1207,18 @@ std::vector<core::AnalysisSpec> coverageSpecs(const CommonFlags &flags) {
   return specs;
 }
 
-/// Print the Table I comparison for the first suite.size() artifacts.
-void printCoverageTable(
-    const std::vector<std::optional<sema::LoopCoverage>> &coverages) {
+/// Print the Table I comparison for the first suite.size() results.
+void printCoverageTable(const std::vector<core::Artifacts> &results) {
   std::printf("%-10s | %14s | %14s | %14s | %9s\n", "app", "loops p/o",
               "stmts p/o", "in-loop p/o", "pct p/o");
   const auto &suite = workloads::coverageSuite();
   for (std::size_t i = 0; i < suite.size(); ++i) {
     const auto &kernel = suite[i];
-    if (!coverages[i]) {
+    if (!results[i].coverage) {
       std::printf("%-10s | analysis FAILED\n", kernel.name.c_str());
       continue;
     }
-    const sema::LoopCoverage &coverage = *coverages[i];
+    const sema::LoopCoverage &coverage = *results[i].coverage;
     std::printf("%-10s | %6zu/%-7zu | %6zu/%-7zu | %6zu/%-7zu | %3d/%-5.0f\n",
                 kernel.name.c_str(), kernel.paperLoops, coverage.loops,
                 kernel.paperStatements, coverage.statements,
@@ -942,112 +1228,57 @@ void printCoverageTable(
   std::printf("\n");
 }
 
-/// Per-spec status table for artifact runs (coverage/simulate sweeps);
-/// returns the batch wall time (negative on any failure).
-double printArtifacts(const std::vector<core::Artifacts> &results,
-                      const driver::BatchStats &stats, std::size_t threads,
-                      bool quiet) {
+/// Per-source coverage rows for `coverage <sources...>`; true when every
+/// source produced a summary.
+bool printCoverageRows(const std::vector<core::Artifacts> &results) {
   bool allOk = true;
-  if (!quiet)
-    std::printf("%-24s | %-6s | %-5s | %-9s | %9s\n", "source", "status",
-                "cache", "recompile", "seconds");
-  for (const auto &artifacts : results) {
-    allOk = allOk && artifacts.ok;
-    if (quiet)
-      continue;
-    std::printf("%-24s | %-6s | %-5s | %-9s | %9.4f\n",
-                artifacts.name.c_str(), artifacts.ok ? "ok" : "FAILED",
-                artifacts.cacheHit ? "hit" : "miss",
-                artifacts.recompiled ? "yes" : "no", artifacts.seconds);
-    if (!artifacts.ok)
+  std::printf("%-24s | %6s | %6s | %8s | %4s | %-5s | %-9s\n", "source",
+              "loops", "stmts", "in-loop", "pct", "cache", "recompile");
+  for (const core::Artifacts &artifacts : results) {
+    if (!artifacts.ok || !artifacts.coverage) {
+      allOk = false;
+      std::printf("%-24s | analysis FAILED\n", artifacts.name.c_str());
       std::fprintf(stderr, "%s\n", artifacts.diagnostics.c_str());
+      continue;
+    }
+    const sema::LoopCoverage &coverage = *artifacts.coverage;
+    std::printf("%-24s | %6zu | %6zu | %8zu | %3.0f%% | %-5s | %-9s\n",
+                artifacts.name.c_str(), coverage.loops, coverage.statements,
+                coverage.inLoopStatements, coverage.percent(),
+                artifacts.cacheHit ? "hit" : "miss",
+                artifacts.recompiled ? "yes" : "no");
   }
-  if (!quiet) {
-    std::printf("%zu sources, %zu failures, cache %zu hit / %zu miss, "
-                "%.4f s on %zu threads\n",
-                stats.requests, stats.failures, stats.cacheHits,
-                stats.cacheMisses, stats.wallSeconds, threads);
-    std::printf("artifacts: %zu coverage (%zu from cached summaries), "
-                "%zu simulations, %zu recompiles\n",
-                stats.coverageArtifacts, stats.coverageFromCache,
-                stats.simulationArtifacts, stats.recompiles);
-    if (stats.diskHits + stats.diskMisses + stats.diskStores > 0)
-      std::printf("disk cache: %zu hit / %zu miss, %zu stored\n",
-                  stats.diskHits, stats.diskMisses, stats.diskStores);
-  }
-  return allOk ? stats.wallSeconds : -1.0;
+  return allOk;
 }
 
-int coverageViaDaemon(const CommonFlags &flags) {
-  server::Client client;
-  if (flags.socketPath.empty()) {
-    std::fprintf(stderr, "--via-daemon requires --socket PATH\n");
-    return 2;
+int cmdCoverage(const CommonFlags &flags,
+                const std::vector<std::string> &args, Backend &backend) {
+  std::vector<core::AnalysisSpec> specs;
+  if (args.empty()) {
+    specs = coverageSuiteSpecs(flags);
+  } else {
+    specs.resize(args.size());
+    for (std::size_t i = 0; i < args.size(); ++i)
+      if (!sourceSpec(args[i], flags, kCoverageArtifacts, specs[i]))
+        return 1;
   }
-  if (!client.connect(flags.socketPath)) {
-    std::fprintf(stderr, "%s\n", client.lastError().c_str());
-    return 1;
+  // One artifact run serves the table(s) below. With --cache-dir (or a
+  // warm daemon) a rerun answers every summary from the schema-v2
+  // cache: zero recompiles, zero model generation.
+  std::vector<core::Artifacts> results;
+  if (int rc = backend.many(specs, results))
+    return rc;
+  if (args.empty()) {
+    printCoverageTable(results);
+    return printOutcomes(results, backend, true) ? 0 : 1;
   }
-  auto specs = coverageSpecs(flags);
-  std::vector<std::optional<sema::LoopCoverage>> coverages;
-  bool allOk = true;
-  std::size_t hits = 0, recompiles = 0;
-  for (const auto &spec : specs) {
-    server::CoverageReply reply;
-    if (!client.coverage(spec.name, spec.source, optionsFor(flags), reply)) {
-      std::fprintf(stderr, "%s\n", client.lastError().c_str());
-      return 1;
-    }
-    allOk = allOk && reply.ok;
-    if (reply.ok)
-      coverages.push_back(reply.coverage);
-    else
-      coverages.push_back(std::nullopt);
-    hits += reply.cacheHit ? 1 : 0;
-    recompiles += reply.recompiled ? 1 : 0;
-  }
-  printCoverageTable(coverages);
-  std::printf("%zu sources via daemon at %s: %zu cache hits, "
-              "%zu recompiles\n",
-              specs.size(), flags.socketPath.c_str(), hits, recompiles);
+  const bool allOk = printCoverageRows(results);
+  backend.printTotals(results, true);
   return allOk ? 0 : 1;
 }
 
-int cmdCoverage(std::vector<std::string> args) {
-  CommonFlags flags;
-  if (!parseFlags(args, flags) || !args.empty())
-    return 2;
-
-  if (flags.viaDaemon)
-    return coverageViaDaemon(flags);
-
-  // One artifact run serves both the Table I numbers and the status
-  // table below. With --cache-dir, a warm rerun answers every summary
-  // from the schema-v2 cache: zero recompiles, zero model generation.
-  auto specs = coverageSpecs(flags);
-  driver::BatchAnalyzer analyzer(batchOptionsFor(flags, flags.threads));
-  auto results = analyzer.runArtifacts(specs);
-
-  std::vector<std::optional<sema::LoopCoverage>> coverages;
-  coverages.reserve(results.size());
-  for (const auto &artifacts : results)
-    coverages.push_back(artifacts.coverage);
-  printCoverageTable(coverages);
-
-  double parallelSeconds =
-      printArtifacts(results, analyzer.stats(), flags.threads, false);
-  if (flags.compareSerial) {
-    driver::BatchAnalyzer serial(batchOptionsFor(flags, 1, false));
-    serial.runArtifacts(specs);
-    printSpeedup(serial.stats().wallSeconds, parallelSeconds, flags.threads);
-  }
-  return parallelSeconds < 0 ? 1 : 0;
-}
-
-// ----------------------------------------------------------- simulate
-
-/// Counter block shared verbatim by the one-shot and daemon paths, so
-/// CI can diff the two outputs line for line.
+/// Counter block of a simulation, printed the same way on both
+/// backends so CI can diff the two outputs line for line.
 void printSimResult(const sim::SimResult &result) {
   if (!result.ok) {
     std::printf("simulation FAILED: %s\n", result.error.c_str());
@@ -1079,55 +1310,25 @@ void printSimResult(const sim::SimResult &result) {
   }
 }
 
-int cmdSimulate(std::vector<std::string> args) {
-  CommonFlags flags;
-  if (!parseFlags(args, flags) || args.size() != 1)
+int cmdSimulate(const CommonFlags &flags,
+                const std::vector<std::string> &args, Backend &backend) {
+  if (args.size() != 1) {
+    std::fprintf(stderr, "simulate takes exactly one source\n");
     return 2;
+  }
   if (flags.sim.function.empty()) {
     std::fprintf(stderr, "simulate requires --function NAME\n");
     return 2;
   }
   core::AnalysisSpec spec;
-  if (!loadSource(args[0], spec))
+  if (!sourceSpec(args[0], flags,
+                  core::kArtifactSimulation | core::kArtifactDiagnostics,
+                  spec))
     return 1;
-  spec.options = optionsFor(flags);
-  spec.artifacts = core::kArtifactSimulation | core::kArtifactDiagnostics;
   spec.simulation = flags.sim;
-
-  if (flags.viaDaemon) {
-    if (flags.socketPath.empty()) {
-      std::fprintf(stderr, "--via-daemon requires --socket PATH\n");
-      return 2;
-    }
-    server::Client client;
-    if (!client.connect(flags.socketPath)) {
-      std::fprintf(stderr, "%s\n", client.lastError().c_str());
-      return 1;
-    }
-    server::SimulateReply reply;
-    if (!client.simulate(spec.name, spec.source, spec.options, flags.sim,
-                         reply)) {
-      std::fprintf(stderr, "%s\n", client.lastError().c_str());
-      return 1;
-    }
-    if (!reply.ok) {
-      std::fprintf(stderr, "simulate of %s failed:\n%s\n",
-                   spec.name.c_str(), reply.diagnostics.c_str());
-      return 1;
-    }
-    std::printf("simulated %s:%s via daemon in %.4f s (%s%s)\n",
-                spec.name.c_str(), flags.sim.function.c_str(),
-                static_cast<double>(reply.micros) / 1e6,
-                reply.cacheHit ? "cache hit" : "computed",
-                reply.recompiled ? ", recompiled" : "");
-    printSimResult(reply.result);
-    return reply.result.ok ? 0 : 1;
-  }
-
-  driver::BatchOptions batchOptions = batchOptionsFor(flags, 1);
-  batchOptions.useCache = flags.useCache && !flags.cacheDir.empty();
-  driver::BatchAnalyzer analyzer(batchOptions);
-  core::Artifacts artifacts = analyzer.analyzeArtifacts(spec);
+  core::Artifacts artifacts;
+  if (int rc = backend.one(spec, artifacts))
+    return rc;
   if (!artifacts.ok || !artifacts.simulation) {
     std::fprintf(stderr, "simulate of %s failed:\n%s\n",
                  artifacts.name.c_str(), artifacts.diagnostics.c_str());
@@ -1135,12 +1336,37 @@ int cmdSimulate(std::vector<std::string> args) {
   }
   if (!artifacts.diagnostics.empty())
     std::fprintf(stderr, "%s\n", artifacts.diagnostics.c_str());
-  std::printf("simulated %s:%s in %.4f s (%s%s)\n", artifacts.name.c_str(),
-              flags.sim.function.c_str(), artifacts.seconds,
+  std::printf("simulated %s:%s%s in %.4f s (%s%s)\n", artifacts.name.c_str(),
+              flags.sim.function.c_str(), backend.tag(), artifacts.seconds,
               artifacts.cacheHit ? "cache hit" : "computed",
               artifacts.recompiled ? ", recompiled" : "");
   printSimResult(*artifacts.simulation);
   return artifacts.simulation->ok ? 0 : 1;
+}
+
+/// An analysis command: one function serves `X ...` in-process and
+/// `client X ...` against a daemon.
+using AnalysisCommand = int (*)(const CommonFlags &,
+                                const std::vector<std::string> &, Backend &);
+
+AnalysisCommand analysisCommand(const std::string &name) {
+  if (name == "analyze")
+    return cmdAnalyze;
+  if (name == "batch")
+    return cmdBatch;
+  if (name == "coverage")
+    return cmdCoverage;
+  if (name == "simulate")
+    return cmdSimulate;
+  return nullptr;
+}
+
+int runLocal(AnalysisCommand command, std::vector<std::string> args) {
+  CommonFlags flags;
+  if (!parseFlags(args, flags))
+    return 2;
+  LocalBackend backend(flags);
+  return command(flags, args, backend);
 }
 
 int cmdCache(std::vector<std::string> args) {
@@ -1381,71 +1607,16 @@ int cmdServe(std::vector<std::string> args) {
 
 // ------------------------------------------------------------- client
 
-/// Unified `mira-cli client` failure diagnostic: every daemon
-/// conversation that fails prints one `mira-cli client: <reason>` line
-/// to stderr, and the exit status tells scripts which class of failure
-/// it was without parsing that text: 3 = could not connect (no daemon
-/// there), 4 = the connection died or broke protocol mid-conversation,
-/// 1 = the daemon (or the analysis itself) refused or failed.
-/// tests/server_test.cpp pins both the format and the codes.
-int clientFailure(const server::Client &client) {
-  std::fprintf(stderr, "mira-cli client: %s\n", client.lastError().c_str());
-  switch (client.lastErrorKind()) {
-  case server::Client::ErrorKind::connect:
-    return 3;
-  case server::Client::ErrorKind::transport:
-  case server::Client::ErrorKind::protocol:
-    return 4;
-  default:
-    return 1;
-  }
-}
-
-int requireClientConnection(server::Client &client,
-                            const CommonFlags &flags) {
-  if (flags.socketPath.empty() && flags.connectSpec.empty()) {
-    std::fprintf(stderr,
-                 "client requires --socket PATH or --connect HOST:PORT\n");
-    return 2;
-  }
-  if (!flags.socketPath.empty() && !flags.connectSpec.empty()) {
-    std::fprintf(stderr, "--socket and --connect are mutually exclusive\n");
-    return 2;
-  }
-  client.setConnectTimeoutMillis(
-      static_cast<int>(flags.connectTimeoutSeconds * 1000.0));
-  client.setSecret(flags.secret);
-  if (!flags.connectSpec.empty()) {
-    std::string host, parseError;
-    std::uint16_t port = 0;
-    if (!net::parseHostPort(flags.connectSpec, host, port, parseError)) {
-      std::fprintf(stderr, "--connect: %s\n", parseError.c_str());
-      return 2;
-    }
-    if (!client.connectTcp(host, port))
-      return clientFailure(client);
-    return 0;
-  }
-  if (!client.connect(flags.socketPath))
-    return clientFailure(client);
-  return 0;
-}
-
-void printClientOutcome(const server::ClientOutcome &outcome) {
-  if (!outcome.diagnostics.empty())
-    std::fprintf(stderr, "%s\n", outcome.diagnostics.c_str());
-  std::printf("analyzed %s via daemon in %.4f s (%s)\n",
-              outcome.name.c_str(),
-              static_cast<double>(outcome.micros) / 1e6,
-              outcome.cacheHit ? "cache hit" : "computed");
-}
-
 int cmdClient(std::vector<std::string> args) {
   CommonFlags flags;
   if (!parseFlags(args, flags) || args.empty())
     return 2;
   const std::string action = args[0];
   args.erase(args.begin());
+  if (AnalysisCommand command = analysisCommand(action)) {
+    RemoteBackend backend(flags);
+    return command(flags, args, backend);
+  }
 
   server::Client client;
   client.setBusyRetries(flags.busyRetries);
@@ -1455,9 +1626,7 @@ int cmdClient(std::vector<std::string> args) {
       return rc;
     if (!client.ping())
       return clientFailure(client);
-    std::printf("daemon at %s is alive\n",
-                flags.socketPath.empty() ? flags.connectSpec.c_str()
-                                         : flags.socketPath.c_str());
+    std::printf("daemon at %s is alive\n", endpointOf(flags).c_str());
     return 0;
   }
 
@@ -1467,8 +1636,7 @@ int cmdClient(std::vector<std::string> args) {
     if (!client.shutdownServer())
       return clientFailure(client);
     std::printf("daemon at %s acknowledged shutdown\n",
-                flags.socketPath.empty() ? flags.connectSpec.c_str()
-                                         : flags.socketPath.c_str());
+                endpointOf(flags).c_str());
     return 0;
   }
 
@@ -1530,157 +1698,6 @@ int cmdClient(std::vector<std::string> args) {
     return 0;
   }
 
-  if (action == "analyze") {
-    if (args.size() != 1) {
-      std::fprintf(stderr, "client analyze takes exactly one source\n");
-      return 2;
-    }
-    core::AnalysisSpec spec;
-    if (!loadSource(args[0], spec))
-      return 1;
-    if (int rc = requireClientConnection(client, flags))
-      return rc;
-    server::ClientOutcome outcome;
-    if (!client.analyze(spec.name, spec.source, optionsFor(flags), outcome))
-      return clientFailure(client);
-    if (!outcome.ok) {
-      std::fprintf(stderr, "analysis of %s failed:\n%s\n",
-                   outcome.name.c_str(), outcome.diagnostics.c_str());
-      return 1;
-    }
-    printClientOutcome(outcome);
-    printModelSummary(outcome.analysis->model);
-    if (flags.emitPython) {
-      std::puts("");
-      std::puts(model::emitPython(outcome.analysis->model).c_str());
-    }
-    return 0;
-  }
-
-  if (action == "batch") {
-    if (!flags.manifestPaths.empty()) {
-      // --manifest: the daemon executes the whole corpus and answers
-      // one deterministic report — byte-identical (report and cache
-      // dir) to a local `mira-cli batch --manifest` over the same
-      // manifest, options, and cache directory.
-      if (!args.empty()) {
-        std::fprintf(stderr,
-                     "client batch --manifest takes no positional sources\n");
-        return 2;
-      }
-      if (flags.manifestPaths.size() > 1) {
-        std::fprintf(stderr, "client batch takes exactly one --manifest\n");
-        return 2;
-      }
-      std::string manifestBytes, sinceBytes;
-      if (!readFileBytes(flags.manifestPaths[0], manifestBytes))
-        return 1;
-      if (!flags.sincePath.empty() &&
-          !readFileBytes(flags.sincePath, sinceBytes))
-        return 1;
-      if (int rc = requireClientConnection(client, flags))
-        return rc;
-      server::Client::ProgressFn onProgress;
-      if (flags.progress)
-        onProgress = [](const server::BatchProgress &p) {
-          // Progress is operator feedback, not results: stderr, so
-          // stdout stays byte-comparable with and without --progress.
-          std::fprintf(stderr,
-                       "progress: %u/%u analyzed, %u failures, "
-                       "%u cache hits\n",
-                       p.done, p.total, p.failures, p.cacheHits);
-        };
-      std::string reportBytes;
-      if (!client.manifestBatch(manifestBytes, sinceBytes,
-                                flags.rootOverride, flags.shard,
-                                optionsFor(flags), onProgress, reportBytes))
-        return clientFailure(client);
-      driver::BatchReport report;
-      std::string error;
-      if (!driver::deserializeBatchReport(reportBytes, report, error)) {
-        std::fprintf(stderr, "mira-cli client: malformed report from "
-                             "daemon: %s\n",
-                     error.c_str());
-        return 4;
-      }
-      std::printf("%-24s | %-6s | %16s\n", "source", "status", "key");
-      for (const auto &entry : report.entries)
-        std::printf("%-24s | %-6s | %016llx\n", entry.name.c_str(),
-                    entry.ok ? "ok" : "FAILED",
-                    static_cast<unsigned long long>(entry.key));
-      printReportSummary(report);
-      // The daemon's report bytes go to disk untouched: `manifest
-      // merge` and byte-comparisons see exactly what a local shard
-      // run would have written.
-      if (!flags.reportPath.empty() &&
-          !writeFileBytes(flags.reportPath, reportBytes))
-        return 1;
-      return report.stats.failures == 0 ? 0 : 1;
-    }
-    if (args.empty()) {
-      std::fprintf(stderr, "client batch needs at least one source\n");
-      return 2;
-    }
-    std::vector<server::SourceItem> items;
-    for (const auto &arg : args) {
-      core::AnalysisSpec spec;
-      if (!loadSource(arg, spec))
-        return 1;
-      items.push_back({spec.name, spec.source});
-    }
-    if (int rc = requireClientConnection(client, flags))
-      return rc;
-    std::vector<server::ClientOutcome> outcomes;
-    if (!client.analyzeBatch(items, optionsFor(flags), outcomes))
-      return clientFailure(client);
-    bool allOk = true;
-    std::printf("%-24s | %-6s | %-5s | %9s\n", "source", "status", "cache",
-                "seconds");
-    for (const auto &outcome : outcomes) {
-      allOk = allOk && outcome.ok;
-      std::printf("%-24s | %-6s | %-5s | %9.4f\n", outcome.name.c_str(),
-                  outcome.ok ? "ok" : "FAILED",
-                  outcome.cacheHit ? "hit" : "miss",
-                  static_cast<double>(outcome.micros) / 1e6);
-      if (!outcome.ok)
-        std::fprintf(stderr, "%s\n", outcome.diagnostics.c_str());
-    }
-    return allOk ? 0 : 1;
-  }
-
-  if (action == "coverage") {
-    if (args.empty()) {
-      std::fprintf(stderr, "client coverage needs at least one source\n");
-      return 2;
-    }
-    if (int rc = requireClientConnection(client, flags))
-      return rc;
-    bool allOk = true;
-    std::printf("%-24s | %6s | %6s | %8s | %4s | %-5s | %-9s\n", "source",
-                "loops", "stmts", "in-loop", "pct", "cache", "recompile");
-    for (const auto &arg : args) {
-      core::AnalysisSpec spec;
-      if (!loadSource(arg, spec))
-        return 1;
-      server::CoverageReply reply;
-      if (!client.coverage(spec.name, spec.source, optionsFor(flags), reply))
-        return clientFailure(client);
-      if (!reply.ok) {
-        allOk = false;
-        std::printf("%-24s | analysis FAILED\n", spec.name.c_str());
-        std::fprintf(stderr, "%s\n", reply.diagnostics.c_str());
-        continue;
-      }
-      std::printf("%-24s | %6zu | %6zu | %8zu | %3.0f%% | %-5s | %-9s\n",
-                  spec.name.c_str(), reply.coverage.loops,
-                  reply.coverage.statements, reply.coverage.inLoopStatements,
-                  reply.coverage.percent(),
-                  reply.cacheHit ? "hit" : "miss",
-                  reply.recompiled ? "yes" : "no");
-    }
-    return allOk ? 0 : 1;
-  }
-
   if (action == "manifest-diff") {
     if (args.size() != 2) {
       std::fprintf(stderr,
@@ -1708,38 +1725,6 @@ int cmdClient(std::vector<std::string> args) {
     return printManifestDiff(reply.added, reply.changed, reply.removed) == 0
                ? 0
                : 1;
-  }
-
-  if (action == "simulate") {
-    if (args.size() != 1) {
-      std::fprintf(stderr, "client simulate takes exactly one source\n");
-      return 2;
-    }
-    if (flags.sim.function.empty()) {
-      std::fprintf(stderr, "client simulate requires --function NAME\n");
-      return 2;
-    }
-    core::AnalysisSpec spec;
-    if (!loadSource(args[0], spec))
-      return 1;
-    if (int rc = requireClientConnection(client, flags))
-      return rc;
-    server::SimulateReply reply;
-    if (!client.simulate(spec.name, spec.source, optionsFor(flags), flags.sim,
-                         reply))
-      return clientFailure(client);
-    if (!reply.ok) {
-      std::fprintf(stderr, "simulate of %s failed:\n%s\n",
-                   spec.name.c_str(), reply.diagnostics.c_str());
-      return 1;
-    }
-    std::printf("simulated %s:%s via daemon in %.4f s (%s%s)\n",
-                spec.name.c_str(), flags.sim.function.c_str(),
-                static_cast<double>(reply.micros) / 1e6,
-                reply.cacheHit ? "cache hit" : "computed",
-                reply.recompiled ? ", recompiled" : "");
-    printSimResult(reply.result);
-    return reply.result.ok ? 0 : 1;
   }
 
   std::fprintf(stderr, "unknown client action '%s'\n", action.c_str());
@@ -1832,14 +1817,8 @@ int main(int argc, char **argv) {
   std::string command = argv[1];
   std::vector<std::string> args(argv + 2, argv + argc);
   int result = 2;
-  if (command == "analyze")
-    result = cmdAnalyze(std::move(args));
-  else if (command == "batch")
-    result = cmdBatch(std::move(args));
-  else if (command == "coverage")
-    result = cmdCoverage(std::move(args));
-  else if (command == "simulate")
-    result = cmdSimulate(std::move(args));
+  if (AnalysisCommand analysis = analysisCommand(command))
+    result = runLocal(analysis, std::move(args));
   else if (command == "manifest")
     result = cmdManifest(std::move(args));
   else if (command == "cache")

@@ -32,6 +32,45 @@ std::uint64_t microsSince(std::chrono::steady_clock::time_point start) {
 /// Sentinel for "no close-after reply enqueued yet".
 constexpr std::uint64_t kNoCloseSeq = ~static_cast<std::uint64_t>(0);
 
+bool readSourceFile(const std::string &path, std::string &out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in)
+    return false;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  if (!in && !in.eof())
+    return false;
+  out = buffer.str();
+  return true;
+}
+
+/// The spec every per-source request kind (analyze, batch item,
+/// coverage, simulate, manifest-batch entry) asks the analyzer for.
+core::AnalysisSpec specFor(SourceItem item, std::uint8_t flags,
+                           core::ArtifactMask mask,
+                           core::SimulationArgs sim = {}) {
+  core::AnalysisSpec spec;
+  spec.name = std::move(item.name);
+  spec.source = std::move(item.source);
+  spec.options = unpackOptions(flags);
+  spec.artifacts = mask;
+  spec.simulation = std::move(sim);
+  return spec;
+}
+
+/// The head CoverageReply and SimulateReply share; `ok` additionally
+/// requires the artifact the reply carries.
+template <typename Reply>
+Reply artifactReply(const core::Artifacts &artifacts, bool ok) {
+  Reply reply;
+  reply.cacheHit = artifacts.cacheHit;
+  reply.recompiled = artifacts.recompiled;
+  reply.micros = static_cast<std::uint64_t>(artifacts.seconds * 1e6);
+  reply.ok = ok;
+  reply.diagnostics = artifacts.diagnostics;
+  return reply;
+}
+
 } // namespace
 
 /// One live connection. The reader assigns ascending sequence numbers
@@ -344,13 +383,12 @@ bool AnalysisServer::handleFrame(const std::shared_ptr<Session> &session,
       return false;
     }
     analyze_requests_.increment();
-    if (!admitOrRefuse(session, seq))
-      return true;
-    compute_->submit([this, session, seq, item = std::move(item), flags] {
-      AnalyzeReply reply = analyzeItem(item, flags);
-      releaseInflight();
-      sendReplyAt(session, seq, encodeAnalyzeReply(reply));
-    });
+    dispatch(session, seq,
+             [this, spec = specFor(std::move(item), flags,
+                                   core::kArtifactDefault)] {
+               return encodeAnalyzeReply(
+                   replyFor(analyzer_->analyzeArtifacts(spec)));
+             });
     return true;
   }
 
@@ -362,32 +400,21 @@ bool AnalysisServer::handleFrame(const std::shared_ptr<Session> &session,
       return false;
     }
     batch_requests_.increment();
+    std::vector<core::AnalysisSpec> specs;
+    specs.reserve(items.size());
+    for (SourceItem &item : items)
+      specs.push_back(
+          specFor(std::move(item), flags, core::kArtifactDefault));
     // A batch holds a single in-flight slot: its items fan across the
     // analyzer's pool (same intra-request parallelism as `mira-cli
     // batch --threads N`), so admitting it per item would double-count.
-    if (!admitOrRefuse(session, seq))
-      return true;
-    compute_->submit([this, session, seq, items = std::move(items),
-                      flags]() mutable {
-      std::vector<core::AnalysisSpec> specs;
-      specs.reserve(items.size());
-      const core::MiraOptions options = unpackOptions(flags);
-      for (SourceItem &item : items) {
-        core::AnalysisSpec spec;
-        spec.name = std::move(item.name);
-        spec.source = std::move(item.source);
-        spec.options = options;
-        spec.artifacts = core::kArtifactDefault;
-        specs.push_back(std::move(spec));
-      }
-      std::vector<core::Artifacts> results =
-          analyzer_->analyzeArtifactsMany(specs);
+    dispatch(session, seq, [this, specs = std::move(specs)] {
       std::vector<AnalyzeReply> replies;
-      replies.reserve(results.size());
-      for (const core::Artifacts &artifacts : results)
+      replies.reserve(specs.size());
+      for (const core::Artifacts &artifacts :
+           analyzer_->analyzeArtifactsMany(specs))
         replies.push_back(replyFor(artifacts));
-      releaseInflight();
-      sendReplyAt(session, seq, encodeBatchReply(replies));
+      return encodeBatchReply(replies);
     });
     return true;
   }
@@ -400,13 +427,19 @@ bool AnalysisServer::handleFrame(const std::shared_ptr<Session> &session,
       return false;
     }
     coverage_requests_.increment();
-    if (!admitOrRefuse(session, seq))
-      return true;
-    compute_->submit([this, session, seq, item = std::move(item), flags] {
-      CoverageReply reply = coverageItem(item, flags);
-      releaseInflight();
-      sendReplyAt(session, seq, encodeCoverageReply(reply));
-    });
+    dispatch(session, seq,
+             [this, spec = specFor(std::move(item), flags,
+                                   core::kArtifactCoverage |
+                                       core::kArtifactDiagnostics)] {
+               const core::Artifacts artifacts =
+                   analyzer_->analyzeArtifacts(spec);
+               recordServed(artifacts);
+               auto reply = artifactReply<CoverageReply>(
+                   artifacts, artifacts.ok && artifacts.coverage);
+               if (reply.ok)
+                 reply.coverage = *artifacts.coverage;
+               return encodeCoverageReply(reply);
+             });
     return true;
   }
 
@@ -419,14 +452,20 @@ bool AnalysisServer::handleFrame(const std::shared_ptr<Session> &session,
       return false;
     }
     simulate_requests_.increment();
-    if (!admitOrRefuse(session, seq))
-      return true;
-    compute_->submit([this, session, seq, item = std::move(item), flags,
-                      sim = std::move(sim)] {
-      SimulateReply reply = simulateItem(item, flags, sim);
-      releaseInflight();
-      sendReplyAt(session, seq, encodeSimulateReply(reply));
-    });
+    dispatch(session, seq,
+             [this, spec = specFor(std::move(item), flags,
+                                   core::kArtifactSimulation |
+                                       core::kArtifactDiagnostics,
+                                   std::move(sim))] {
+               const core::Artifacts artifacts =
+                   analyzer_->analyzeArtifacts(spec);
+               recordServed(artifacts);
+               auto reply = artifactReply<SimulateReply>(
+                   artifacts, artifacts.ok && artifacts.simulation);
+               if (reply.ok)
+                 reply.result = *artifacts.simulation;
+               return encodeSimulateReply(reply);
+             });
     return true;
   }
 
@@ -447,20 +486,17 @@ bool AnalysisServer::handleFrame(const std::shared_ptr<Session> &session,
       sendErrorAt(session, seq, "malformed manifest: " + manifestError);
       return false;
     }
-    if (!admitOrRefuse(session, seq))
-      return true;
-    compute_->submit([this, session, seq,
-                      oldManifest = std::move(oldManifest),
-                      newManifest = std::move(newManifest)] {
-      corpus::ManifestDiff diff = corpus::diffManifests(oldManifest,
-                                                        newManifest);
-      ManifestDiffReply reply;
-      reply.added = std::move(diff.added);
-      reply.changed = std::move(diff.changed);
-      reply.removed = std::move(diff.removed);
-      releaseInflight();
-      sendReplyAt(session, seq, encodeManifestDiffReply(reply));
-    });
+    dispatch(session, seq,
+             [oldManifest = std::move(oldManifest),
+              newManifest = std::move(newManifest)] {
+               corpus::ManifestDiff diff =
+                   corpus::diffManifests(oldManifest, newManifest);
+               ManifestDiffReply reply;
+               reply.added = std::move(diff.added);
+               reply.changed = std::move(diff.changed);
+               reply.removed = std::move(diff.removed);
+               return encodeManifestDiffReply(reply);
+             });
     return true;
   }
 
@@ -657,6 +693,18 @@ void AnalysisServer::releaseInflight() {
   inflight_cv_.notify_all();
 }
 
+void AnalysisServer::dispatch(const std::shared_ptr<Session> &session,
+                              std::uint64_t seq,
+                              std::function<std::string()> compute) {
+  if (!admitOrRefuse(session, seq))
+    return;
+  compute_->submit([this, session, seq, compute = std::move(compute)] {
+    std::string frame = compute();
+    releaseInflight();
+    sendReplyAt(session, seq, std::move(frame));
+  });
+}
+
 void AnalysisServer::recordServed(const core::Artifacts &artifacts) {
   sources_analyzed_.increment();
   if (artifacts.cacheHit)
@@ -667,16 +715,6 @@ void AnalysisServer::recordServed(const core::Artifacts &artifacts) {
     failures_.increment();
   if (artifacts.recompiled)
     recompiles_.increment();
-}
-
-AnalyzeReply AnalysisServer::analyzeItem(const SourceItem &item,
-                                         std::uint8_t flags) {
-  core::AnalysisSpec spec;
-  spec.name = item.name;
-  spec.source = item.source;
-  spec.options = unpackOptions(flags);
-  spec.artifacts = core::kArtifactDefault;
-  return replyFor(analyzer_->analyzeArtifacts(spec));
 }
 
 AnalyzeReply AnalysisServer::replyFor(const core::Artifacts &artifacts) {
@@ -695,66 +733,6 @@ AnalyzeReply AnalysisServer::replyFor(const core::Artifacts &artifacts) {
       artifacts.diagnostics, artifacts.name);
   return reply;
 }
-
-CoverageReply AnalysisServer::coverageItem(const SourceItem &item,
-                                           std::uint8_t flags) {
-  core::AnalysisSpec spec;
-  spec.name = item.name;
-  spec.source = item.source;
-  spec.options = unpackOptions(flags);
-  spec.artifacts = core::kArtifactCoverage | core::kArtifactDiagnostics;
-  core::Artifacts artifacts = analyzer_->analyzeArtifacts(spec);
-  recordServed(artifacts);
-
-  CoverageReply reply;
-  reply.cacheHit = artifacts.cacheHit;
-  reply.recompiled = artifacts.recompiled;
-  reply.micros = static_cast<std::uint64_t>(artifacts.seconds * 1e6);
-  reply.ok = artifacts.ok && artifacts.coverage.has_value();
-  reply.diagnostics = artifacts.diagnostics;
-  if (reply.ok)
-    reply.coverage = *artifacts.coverage;
-  return reply;
-}
-
-SimulateReply AnalysisServer::simulateItem(const SourceItem &item,
-                                           std::uint8_t flags,
-                                           const core::SimulationArgs &sim) {
-  core::AnalysisSpec spec;
-  spec.name = item.name;
-  spec.source = item.source;
-  spec.options = unpackOptions(flags);
-  spec.artifacts = core::kArtifactSimulation | core::kArtifactDiagnostics;
-  spec.simulation = sim;
-  core::Artifacts artifacts = analyzer_->analyzeArtifacts(spec);
-  recordServed(artifacts);
-
-  SimulateReply reply;
-  reply.cacheHit = artifacts.cacheHit;
-  reply.recompiled = artifacts.recompiled;
-  reply.micros = static_cast<std::uint64_t>(artifacts.seconds * 1e6);
-  reply.ok = artifacts.ok && artifacts.simulation != nullptr;
-  reply.diagnostics = artifacts.diagnostics;
-  if (reply.ok)
-    reply.result = *artifacts.simulation;
-  return reply;
-}
-
-namespace {
-
-bool readSourceFile(const std::string &path, std::string &out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
-    return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (!in && !in.eof())
-    return false;
-  out = buffer.str();
-  return true;
-}
-
-} // namespace
 
 void AnalysisServer::runManifestBatch(const std::shared_ptr<Session> &session,
                                       std::uint64_t seq,
@@ -807,12 +785,9 @@ void AnalysisServer::runManifestBatch(const std::shared_ptr<Session> &session,
     std::vector<core::AnalysisSpec> specs;
     specs.reserve(end - begin);
     for (std::size_t i = begin; i < end; ++i) {
-      core::AnalysisSpec spec;
-      spec.name = selection.entries[i].path;
-      spec.source = std::move(sources[i]);
-      spec.options = options;
-      spec.artifacts = core::kArtifactDefault;
-      specs.push_back(std::move(spec));
+      specs.push_back(
+          specFor({selection.entries[i].path, std::move(sources[i])},
+                  request.flags, core::kArtifactDefault));
     }
     std::vector<core::Artifacts> chunkResults =
         analyzer_->analyzeArtifactsMany(specs);

@@ -29,6 +29,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -194,6 +195,11 @@ private:
   bool admitOrRefuse(const std::shared_ptr<Session> &session,
                      std::uint64_t seq);
   void releaseInflight();
+  /// The shared tail of every computed request: admit (or answer Busy),
+  /// then on a compute worker run `compute`, release the in-flight slot
+  /// and send the reply frame it encoded.
+  void dispatch(const std::shared_ptr<Session> &session, std::uint64_t seq,
+                std::function<std::string()> compute);
   /// Refresh the point-in-time gauges before a registry snapshot.
   void refreshGauges() const;
   /// Atomically (re)write options_.metricsFile; no-op when unset.
@@ -202,12 +208,8 @@ private:
   /// Record a served result in the counters (cache hit vs computed,
   /// failures, recompiles).
   void recordServed(const core::Artifacts &artifacts);
-  AnalyzeReply analyzeItem(const SourceItem &item, std::uint8_t flags);
   /// Record artifacts in the counters and wrap them as a wire reply.
   AnalyzeReply replyFor(const core::Artifacts &artifacts);
-  CoverageReply coverageItem(const SourceItem &item, std::uint8_t flags);
-  SimulateReply simulateItem(const SourceItem &item, std::uint8_t flags,
-                             const core::SimulationArgs &sim);
 
   ServerOptions options_;
   /// The one registry behind every surface: the analyzer registers its

@@ -1222,13 +1222,14 @@ TEST(AnalysisServerTest, ManifestBatchRejectsMalformedManifestBlob) {
 // ------------------------------------------- CLI client exit contract
 
 /// Fork/exec the real mira-cli and return its exit code; stdout+stderr
-/// land in `log`. The binary path is compiled in by CMake.
+/// (stdout only with `stdoutOnly`) land in `log`. The binary path is
+/// compiled in by CMake.
 int runClientCli(const std::vector<std::string> &args,
-                 const std::filesystem::path &log) {
+                 const std::filesystem::path &log, bool stdoutOnly = false) {
   std::string command = MIRA_CLI_PATH;
   for (const std::string &arg : args)
     command += " '" + arg + "'";
-  command += " > '" + log.string() + "' 2>&1";
+  command += " > '" + log.string() + (stdoutOnly ? "' 2>/dev/null" : "' 2>&1");
   const int status = std::system(command.c_str());
   return status == -1 ? -1 : (WIFEXITED(status) ? WEXITSTATUS(status) : -1);
 }
@@ -1284,6 +1285,114 @@ TEST(ClientCliExitContract, MidStreamEofIsExitFourWithUnifiedDiagnostic) {
   const std::string output = slurp(log);
   EXPECT_NE(output.find("mira-cli client: "), std::string::npos) << output;
   std::filesystem::remove(socket);
+  std::filesystem::remove(log);
+}
+
+// ------------------------------------------ local == daemon CLI parity
+
+/// Stdout of `mira-cli X args...` and of `mira-cli client X args...
+/// --socket PATH`: one command function serves both spellings, so
+/// everything but the provenance line and the totals must agree.
+struct ParityRun {
+  std::string local, remote;
+};
+
+ParityRun runBothSpellings(const std::vector<std::string> &args,
+                           const std::string &socketPath) {
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string tag = std::to_string(::getpid());
+  const auto localLog = dir / ("mira_server_test_parity_local_" + tag);
+  const auto remoteLog = dir / ("mira_server_test_parity_remote_" + tag);
+  std::vector<std::string> client = {"client"};
+  client.insert(client.end(), args.begin(), args.end());
+  client.insert(client.end(), {"--socket", socketPath});
+  EXPECT_EQ(runClientCli(args, localLog, true), 0) << slurp(localLog);
+  EXPECT_EQ(runClientCli(client, remoteLog, true), 0) << slurp(remoteLog);
+  ParityRun run{slurp(localLog), slurp(remoteLog)};
+  std::filesystem::remove(localLog);
+  std::filesystem::remove(remoteLog);
+  return run;
+}
+
+/// Everything after the first line (the per-backend provenance line).
+std::string afterFirstLine(const std::string &text) {
+  const std::size_t eol = text.find('\n');
+  return eol == std::string::npos ? std::string() : text.substr(eol + 1);
+}
+
+TEST(CliParity, SimulateCounterBlocksAreIdentical) {
+  DaemonFixture daemon;
+  ASSERT_TRUE(daemon.started());
+  const ParityRun run = runBothSpellings(
+      {"simulate", "@fig5", "--function", "fig5_main", "--sim-arg", "64"},
+      daemon.socketPath());
+  EXPECT_EQ(run.local.rfind("simulated @fig5:fig5_main in ", 0), 0u)
+      << run.local;
+  EXPECT_EQ(run.remote.rfind("simulated @fig5:fig5_main via daemon in ", 0),
+            0u)
+      << run.remote;
+  EXPECT_NE(run.local.find("total instructions  : "), std::string::npos);
+  EXPECT_EQ(afterFirstLine(run.local), afterFirstLine(run.remote));
+}
+
+TEST(CliParity, CoverageTableIBlocksAreIdentical) {
+  DaemonFixture daemon;
+  ASSERT_TRUE(daemon.started());
+  const ParityRun run = runBothSpellings({"coverage"}, daemon.socketPath());
+  // The Table I block runs up to the first blank line; the status table
+  // and the backend's totals follow it.
+  const auto tableI = [](const std::string &text) {
+    return text.substr(0, text.find("\n\n"));
+  };
+  EXPECT_EQ(tableI(run.local).rfind("app ", 0), 0u) << run.local;
+  EXPECT_NE(tableI(run.local).find("mg3d"), std::string::npos) << run.local;
+  EXPECT_EQ(tableI(run.local), tableI(run.remote));
+  EXPECT_NE(run.remote.find("15 sources via daemon at "), std::string::npos)
+      << run.remote;
+}
+
+TEST(CliParity, AnalyzeModelSummariesAreIdentical) {
+  DaemonFixture daemon;
+  ASSERT_TRUE(daemon.started());
+  const ParityRun run = runBothSpellings({"analyze", "@fig5"},
+                                         daemon.socketPath());
+  EXPECT_EQ(run.local.rfind("analyzed @fig5 in ", 0), 0u) << run.local;
+  EXPECT_NE(run.local.find(" s (computed)\n"), std::string::npos);
+  EXPECT_EQ(run.remote.rfind("analyzed @fig5 via daemon in ", 0), 0u)
+      << run.remote;
+  EXPECT_NE(afterFirstLine(run.local).find("function "), std::string::npos);
+  EXPECT_EQ(afterFirstLine(run.local), afterFirstLine(run.remote));
+}
+
+TEST(CliParity, ClientCoverageAndSimulateShareTheConnectionContract) {
+  // Every remote run connects through the one client path: the
+  // shared-secret handshake works, and with no daemon there both exit
+  // 3 with the unified diagnostic.
+  ServerOptions options;
+  options.secret = "parity-secret";
+  DaemonFixture daemon(options);
+  ASSERT_TRUE(daemon.started());
+  const auto dir = std::filesystem::temp_directory_path();
+  const auto log = dir / ("mira_server_test_parity_secret_" +
+                          std::to_string(::getpid()) + ".log");
+  const auto missing = dir / ("mira_server_test_parity_none_" +
+                              std::to_string(::getpid()) + ".sock");
+  std::filesystem::remove(missing);
+  const std::vector<std::string> commands[] = {
+      {"client", "coverage"},
+      {"client", "simulate", "@fig5", "--function", "fig5_main", "--sim-arg",
+       "64"},
+  };
+  for (std::vector<std::string> command : commands) {
+    std::vector<std::string> secured = command;
+    secured.insert(secured.end(), {"--socket", daemon.socketPath(),
+                                   "--secret", "parity-secret"});
+    EXPECT_EQ(runClientCli(secured, log), 0) << slurp(log);
+    command.insert(command.end(), {"--socket", missing.string()});
+    EXPECT_EQ(runClientCli(command, log), 3) << slurp(log);
+    EXPECT_NE(slurp(log).find("mira-cli client: "), std::string::npos)
+        << slurp(log);
+  }
   std::filesystem::remove(log);
 }
 

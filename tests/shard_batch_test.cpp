@@ -518,5 +518,31 @@ TEST(CliFlags, NumericValuesAreParsedStrictly) {
   EXPECT_EQ(runCli(with(simulate, "8"), log), 0) << readFile(log);
 }
 
+TEST(CliFlags, ManifestOnlyFlagsAreRefusedByBothBatchSpellings) {
+  // --report/--since/--shard/--root mean something only with
+  // --manifest. Local `batch` and `client batch` share one validation:
+  // both refuse them with the usage exit before any analysis or
+  // connection (the socket has no daemon, which would be exit 3), so no
+  // report file appears.
+  TempDir dir("manifestonly");
+  const fs::path log = dir.path / "flags.log";
+  const std::string report = (dir.path / "R").string();
+  const std::string socket = (dir.path / "none.sock").string();
+  const std::vector<std::string> cases[] = {
+      {"batch", "@fig5", "--report", report},
+      {"client", "batch", "@fig5", "--report", report, "--socket", socket},
+      {"client", "batch", "@fig5", "--shard", "1/2", "--socket", socket},
+  };
+  for (const auto &args : cases) {
+    EXPECT_EQ(runCli(args, log), 2) << args[1];
+    const std::string output = readFile(log);
+    EXPECT_NE(output.find("--report/--since/--shard/--root require "
+                          "--manifest FILE"),
+              std::string::npos)
+        << output;
+  }
+  EXPECT_FALSE(fs::exists(report));
+}
+
 } // namespace
 } // namespace mira
