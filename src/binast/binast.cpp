@@ -1,6 +1,7 @@
 #include "binast/binast.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "isa/encoding.h"
 
@@ -109,61 +110,114 @@ void buildBlocks(AsmFunction &fn) {
   }
 }
 
-/// Iterative dominator computation (entry = block 0). Small functions, so
-/// the simple set-intersection algorithm is fine.
-std::vector<std::set<std::uint32_t>> computeDominators(const AsmFunction &fn) {
-  std::size_t n = fn.blocks.size();
-  std::map<std::uint32_t, std::vector<std::uint32_t>> preds;
+/// Predecessor lists indexed by block id, built once per function and
+/// shared by the dominator pass and loop-body collection.
+using PredecessorLists = std::vector<std::vector<std::uint32_t>>;
+
+PredecessorLists predecessorsOf(const AsmFunction &fn) {
+  PredecessorLists preds(fn.blocks.size());
   for (const AsmBlock &b : fn.blocks)
     for (std::uint32_t s : b.successors)
       preds[s].push_back(b.id);
+  return preds;
+}
 
-  std::set<std::uint32_t> all;
-  for (std::uint32_t i = 0; i < n; ++i)
-    all.insert(i);
-  std::vector<std::set<std::uint32_t>> dom(n, all);
-  if (n > 0)
-    dom[0] = {0};
+constexpr std::uint32_t kNoBlock = ~std::uint32_t{0};
+
+/// Immediate dominators by Cooper, Harvey and Kennedy ("A Simple, Fast
+/// Dominance Algorithm", 2001): iterate over reverse postorder from the
+/// entry (block 0), intersecting the idom chains of the already-processed
+/// predecessors, until nothing changes. The entry is its own idom; a
+/// block unreachable from the entry keeps kNoBlock, and its edges are
+/// ignored, so it neither dominates nor is dominated by anything.
+std::vector<std::uint32_t> immediateDominators(const AsmFunction &fn,
+                                               const PredecessorLists &preds) {
+  const std::size_t n = fn.blocks.size();
+  std::vector<std::uint32_t> idom(n, kNoBlock);
+  if (n == 0)
+    return idom;
+
+  // Iterative DFS postorder over the blocks reachable from the entry.
+  std::vector<std::uint32_t> postIndex(n, kNoBlock);
+  std::vector<std::uint32_t> postorder;
+  postorder.reserve(n);
+  std::vector<std::pair<std::uint32_t, std::size_t>> stack;
+  std::vector<bool> seen(n, false);
+  stack.push_back({0, 0});
+  seen[0] = true;
+  while (!stack.empty()) {
+    auto &[block, next] = stack.back();
+    const std::vector<std::uint32_t> &succs = fn.blocks[block].successors;
+    if (next < succs.size()) {
+      const std::uint32_t s = succs[next++];
+      if (!seen[s]) {
+        seen[s] = true;
+        stack.push_back({s, 0});
+      }
+      continue;
+    }
+    postIndex[block] = static_cast<std::uint32_t>(postorder.size());
+    postorder.push_back(block);
+    stack.pop_back();
+  }
+
+  auto intersect = [&](std::uint32_t a, std::uint32_t b) {
+    while (a != b) {
+      while (postIndex[a] < postIndex[b])
+        a = idom[a];
+      while (postIndex[b] < postIndex[a])
+        b = idom[b];
+    }
+    return a;
+  };
+
+  idom[0] = 0;
   bool changed = true;
   while (changed) {
     changed = false;
-    for (std::uint32_t i = 1; i < n; ++i) {
-      std::set<std::uint32_t> next = all;
-      bool hasPred = false;
-      for (std::uint32_t p : preds[i]) {
-        hasPred = true;
-        std::set<std::uint32_t> inter;
-        for (std::uint32_t d : next)
-          if (dom[p].count(d))
-            inter.insert(d);
-        next = std::move(inter);
+    for (auto it = postorder.rbegin(); it != postorder.rend(); ++it) {
+      const std::uint32_t b = *it;
+      if (b == 0)
+        continue;
+      std::uint32_t newIdom = kNoBlock;
+      for (std::uint32_t p : preds[b]) {
+        if (idom[p] == kNoBlock)
+          continue; // unreachable, or not processed yet this pass
+        newIdom = newIdom == kNoBlock ? p : intersect(p, newIdom);
       }
-      if (!hasPred)
-        next.clear(); // unreachable
-      next.insert(i);
-      if (next != dom[i]) {
-        dom[i] = std::move(next);
+      if (newIdom != idom[b]) {
+        idom[b] = newIdom;
         changed = true;
       }
     }
   }
-  return dom;
+  return idom;
+}
+
+/// True when `header` dominates `block`: walk the idom chain up from
+/// `block` to the entry. Unreachable blocks are dominated by nothing.
+bool dominates(const std::vector<std::uint32_t> &idom, std::uint32_t header,
+               std::uint32_t block) {
+  if (idom[block] == kNoBlock)
+    return false;
+  while (block != header) {
+    if (block == 0)
+      return false;
+    block = idom[block];
+  }
+  return true;
 }
 
 /// Natural-loop discovery: a back edge is u -> h where h dominates u;
 /// the loop body is collected by walking predecessors from the latch
-/// until the header.
+/// until the header. Unreachable blocks are in no loop.
 void findLoops(AsmFunction &fn) {
-  std::vector<std::set<std::uint32_t>> dom = computeDominators(fn);
-  // Predecessor map.
-  std::map<std::uint32_t, std::vector<std::uint32_t>> preds;
-  for (const AsmBlock &b : fn.blocks)
-    for (std::uint32_t s : b.successors)
-      preds[s].push_back(b.id);
+  const PredecessorLists preds = predecessorsOf(fn);
+  const std::vector<std::uint32_t> idom = immediateDominators(fn, preds);
 
   for (const AsmBlock &b : fn.blocks) {
     for (std::uint32_t succ : b.successors) {
-      if (!dom[b.id].count(succ))
+      if (!dominates(idom, succ, b.id))
         continue; // not a back edge (header must dominate the latch)
       // back edge b -> succ
       BinaryLoop loop;
@@ -178,7 +232,8 @@ void findLoops(AsmFunction &fn) {
           continue;
         loop.blocks.insert(n);
         for (std::uint32_t p : preds[n])
-          work.push_back(p);
+          if (idom[p] != kNoBlock)
+            work.push_back(p);
       }
 
       // Induction step: the latch's 'add reg, imm' closest to the jump.

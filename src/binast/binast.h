@@ -7,6 +7,13 @@
 // natural loops (back edges, induction steps, bound operands) — the
 // binary-side loop structure Mira must match against source loops to
 // model vectorized main/remainder loop pairs correctly.
+//
+// Loops are natural loops over dominators from the entry block (block 0),
+// computed with the Cooper-Harvey-Kennedy immediate-dominator algorithm.
+// A block unreachable from the entry has no dominators and dominates
+// nothing, so it is in no loop: it never heads, closes or joins one,
+// even when it jumps into a loop body. (Codegen never emits such a
+// block; tests/binast_test.cpp pins that.)
 #pragma once
 
 #include <cstdint>

@@ -115,6 +115,7 @@ std::optional<Instruction> decodeInstruction(
   }
   Instruction inst;
   inst.opcode = static_cast<Opcode>(opcodeRaw);
+  inst.operands.reserve(nops);
   for (std::uint8_t i = 0; i < nops; ++i) {
     std::uint8_t kindRaw = 0;
     if (!getU8(bytes, offset, kindRaw) || kindRaw > 3) {

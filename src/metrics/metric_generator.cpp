@@ -35,16 +35,34 @@ using symbolic::Expr;
 
 namespace {
 
+/// The counts of one Context, each computed at most once. A copy starts
+/// empty: a then/else/body context is copied from its parent and then
+/// narrowed, so it must never inherit the parent's counts.
+struct CountMemo {
+  std::optional<Expr> domainCount; ///< countIterations(domain).count
+  std::optional<Expr> total;       ///< the context's absolute count
+
+  CountMemo() = default;
+  CountMemo(const CountMemo &) {}
+  CountMemo &operator=(const CountMemo &) {
+    domainCount.reset();
+    total.reset();
+    return *this;
+  }
+};
+
 /// Walking context. The absolute execution count of the current position
 /// is count(domain) * extraMultiplier * ratioNum/ratioDen, unless
 /// overrideCount is set (used for else-branches whose complement is not a
-/// single convex domain).
+/// single convex domain). Fields are set up right after a copy and then
+/// left alone, which is what makes memoizing the count sound.
 struct Context {
   IterationDomain domain;
   Expr extraMultiplier = Expr::intConst(1);
   std::int64_t ratioNum = 1;
   std::int64_t ratioDen = 1;
   std::optional<Expr> overrideCount;
+  CountMemo memo;
 };
 
 /// Pattern-match `expr % K == 0` / `expr % K != 0`.
@@ -152,12 +170,19 @@ private:
                           Expr::intConst(ctx.ratioDen));
   }
 
-  /// Absolute execution count at the current context.
-  Expr totalCount(const Context &ctx) {
+  /// Absolute execution count at the current context. Every statement
+  /// of a block asks for the same count, so it is computed once per
+  /// context (or seeded by the walk that already has it).
+  Expr totalCount(Context &ctx) {
     if (ctx.overrideCount)
       return *ctx.overrideCount;
-    CountResult res = polyhedral::countIterations(ctx.domain);
-    return applyRatio(ctx, res.count * ctx.extraMultiplier);
+    if (!ctx.memo.total) {
+      if (!ctx.memo.domainCount)
+        ctx.memo.domainCount = polyhedral::countIterations(ctx.domain).count;
+      ctx.memo.total =
+          applyRatio(ctx, *ctx.memo.domainCount * ctx.extraMultiplier);
+    }
+    return *ctx.memo.total;
   }
 
   void addOpcodeStep(const std::map<isa::Opcode, std::size_t> &opcodes,
@@ -298,6 +323,7 @@ private:
       CountResult thenRes = polyhedral::countIterations(thenCtx.domain);
       if (!thenRes.requiresAnnotation) {
         modeled = true;
+        thenCtx.memo.domainCount = thenRes.count;
         if (!thenRes.note.empty())
           model_.notes.push_back(thenRes.note);
       }
@@ -310,6 +336,7 @@ private:
         CountResult thenRes = polyhedral::countIterations(thenCtx.domain);
         if (!thenRes.requiresAnnotation) {
           modeled = true;
+          thenCtx.memo.domainCount = thenRes.count;
           if (!thenRes.exact)
             note(thenRes.note);
           // Else branch: single-constraint guards invert exactly; the
@@ -462,6 +489,7 @@ private:
     else if (!res.note.empty())
       model_.notes.push_back(res.note);
     bodyAbs = applyRatio(ctx, res.count * ctx.extraMultiplier);
+    bodyCtx.memo.total = bodyAbs; // bodyCtx's count: same ratio, multiplier
     emitLoopMachineCounts(stmt, line, bodyAbs, entries, bodyCtx, &info);
   }
 

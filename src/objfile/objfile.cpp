@@ -1,6 +1,7 @@
 #include "objfile/objfile.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "isa/encoding.h"
 
@@ -224,9 +225,18 @@ std::optional<MiraObject> MiraObject::parse(
     if (op == kLineEnd)
       break;
     switch (op) {
-    case kLineAdvancePc:
-      address += r.uleb();
+    case kLineAdvancePc: {
+      // Unsigned advances keep the table sorted unless the address wraps;
+      // rejecting a wrap makes sortedness an invariant of every parsed
+      // object (lineForAddress binary-searches it).
+      const std::uint64_t delta = r.uleb();
+      if (address + delta < address) {
+        diags.error({}, "line-program address overflows");
+        return std::nullopt;
+      }
+      address += delta;
       break;
+    }
     case kLineAdvanceLine:
       line += r.sleb();
       break;
@@ -268,13 +278,12 @@ const FunctionSymbol *MiraObject::symbolById(int id) const {
 }
 
 std::uint32_t MiraObject::lineForAddress(std::uint64_t address) const {
-  std::uint32_t line = 0;
-  for (const LineEntry &entry : lineTable) {
-    if (entry.address > address)
-      break;
-    line = entry.line;
-  }
-  return line;
+  // The last entry at or before `address`: with duplicate addresses the
+  // later entry wins, as the line program's last copy does.
+  auto after = std::upper_bound(
+      lineTable.begin(), lineTable.end(), address,
+      [](std::uint64_t a, const LineEntry &entry) { return a < entry.address; });
+  return after == lineTable.begin() ? 0 : std::prev(after)->line;
 }
 
 MiraObject buildObject(const std::vector<isa::MachineFunction> &functions,

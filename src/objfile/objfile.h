@@ -41,7 +41,9 @@ public:
   std::vector<FunctionSymbol> symbols;
   std::vector<std::string> externSymbols; // undefined (library) symbols
   std::vector<std::uint8_t> text;
-  std::vector<LineEntry> lineTable; // sorted by address
+  /// Sorted by address, nondecreasing (parse() rejects a line program
+  /// whose address wraps, so a parsed table always is).
+  std::vector<LineEntry> lineTable;
 
   /// Serialize to the on-disk/in-memory byte format.
   std::vector<std::uint8_t> serialize() const;
@@ -53,8 +55,9 @@ public:
   const FunctionSymbol *findSymbol(const std::string &name) const;
   const FunctionSymbol *symbolById(int id) const;
 
-  /// Line for an absolute .text address (nearest entry at or before it),
-  /// 0 if none.
+  /// Line for an absolute .text address (nearest entry at or before it;
+  /// the last one when several share its address), 0 if none. A binary
+  /// search: requires the sorted lineTable.
   std::uint32_t lineForAddress(std::uint64_t address) const;
 };
 
