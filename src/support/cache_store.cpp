@@ -260,6 +260,8 @@ bool CacheStore::store(std::uint64_t key, const std::string &payload) {
     if (!sizeEc)
       approx_bytes_ -= std::min(approx_bytes_, replacedSize);
     approx_bytes_ += bytes.size();
+    if (scanning_)
+      bytes_added_during_scan_ += bytes.size();
     overLimit = bytes_limit_ != 0 && approx_bytes_ > bytes_limit_;
   }
   if (overLimit)
@@ -279,6 +281,8 @@ void CacheStore::evictToFit(std::uint64_t protectedKey) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (approx_bytes_ <= bytes_limit_)
       return;
+    scanning_ = true;
+    bytes_added_during_scan_ = 0;
   }
   struct Entry {
     fs::path path;
@@ -335,9 +339,15 @@ void CacheStore::evictToFit(std::uint64_t protectedKey) {
       }
     }
   }
+  // A store that published its entry while the scan ran may be missing
+  // from `total`; adding every such store back keeps the estimate from
+  // undercounting, so a store still over the cap is never skipped by the
+  // check above. (Entries the scan did see are counted twice, which only
+  // costs an earlier scan.)
   std::lock_guard<std::mutex> lock(mutex_);
   stats_.evictions += evicted;
-  approx_bytes_ = total;
+  approx_bytes_ = total + bytes_added_during_scan_;
+  scanning_ = false;
 }
 
 void CacheStore::clear() {

@@ -144,15 +144,22 @@ private:
   std::string directory_;
   std::uint64_t bytes_limit_ = 0;
   bool usable_ = false;
-  /// Guards stats_ and approx_bytes_ only — never held across file I/O.
+  /// Guards stats_, approx_bytes_ and the scan bookkeeping only — never
+  /// held across file I/O.
   mutable std::mutex mutex_;
   CacheStoreStats stats_;
   /// Running estimate of on-disk bytes, maintained incrementally so
   /// store() does not rescan the directory per call; only an estimate
-  /// above the cap triggers an eviction pass. Concurrent replacements
-  /// and other instances writing the same directory can make it drift;
-  /// each eviction pass resynchronizes it to the measured total.
+  /// above the cap triggers an eviction pass. Within this instance it
+  /// never undercounts (over-counting only brings the next scan
+  /// forward); other instances writing the same directory can make it
+  /// drift. Each eviction pass resynchronizes it to the measured total
+  /// plus the bytes stored while that pass was scanning.
   std::uint64_t approx_bytes_ = 0;
+  /// True while an eviction pass scans the directory; stores then also
+  /// add their size to bytes_added_during_scan_.
+  bool scanning_ = false;
+  std::uint64_t bytes_added_during_scan_ = 0;
   /// Serializes eviction passes (the only directory-scanning writers).
   std::mutex evict_mutex_;
 };
