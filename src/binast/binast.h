@@ -12,8 +12,9 @@
 // computed with the Cooper-Harvey-Kennedy immediate-dominator algorithm.
 // A block unreachable from the entry has no dominators and dominates
 // nothing, so it is in no loop: it never heads, closes or joins one,
-// even when it jumps into a loop body. (Codegen never emits such a
-// block; tests/binast_test.cpp pins that.)
+// even when it jumps into a loop body. (Codegen never emits an
+// unreachable block with a successor, the only kind this rule can
+// affect; tests/binast_test.cpp pins that.)
 #pragma once
 
 #include <cstdint>

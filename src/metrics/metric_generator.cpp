@@ -489,7 +489,7 @@ private:
     else if (!res.note.empty())
       model_.notes.push_back(res.note);
     bodyAbs = applyRatio(ctx, res.count * ctx.extraMultiplier);
-    bodyCtx.memo.total = bodyAbs; // bodyCtx's count: same ratio, multiplier
+    bodyCtx.memo.total = bodyAbs; // bodyCtx keeps ctx's ratio and multiplier
     emitLoopMachineCounts(stmt, line, bodyAbs, entries, bodyCtx, &info);
   }
 

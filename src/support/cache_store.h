@@ -150,11 +150,12 @@ private:
   CacheStoreStats stats_;
   /// Running estimate of on-disk bytes, maintained incrementally so
   /// store() does not rescan the directory per call; only an estimate
-  /// above the cap triggers an eviction pass. Within this instance it
-  /// never undercounts (over-counting only brings the next scan
-  /// forward); other instances writing the same directory can make it
-  /// drift. Each eviction pass resynchronizes it to the measured total
-  /// plus the bytes stored while that pass was scanning.
+  /// above the cap triggers an eviction pass. Concurrent replacements
+  /// and other instances writing the same directory can make it drift;
+  /// each eviction pass resynchronizes it to the measured total plus the
+  /// bytes stored while that pass was scanning, so an entry published
+  /// mid-scan is never dropped from it (over-counting one the scan saw
+  /// only brings the next scan forward).
   std::uint64_t approx_bytes_ = 0;
   /// True while an eviction pass scans the directory; stores then also
   /// add their size to bytes_added_during_scan_.
