@@ -37,8 +37,8 @@ struct OpTally {
            0;
   }
 
-  std::map<isa::Opcode, std::int64_t> toOpcodes() const {
-    std::map<isa::Opcode, std::int64_t> out;
+  model::OpcodeHistogram toOpcodes() const {
+    model::OpcodeHistogram out;
     auto put = [&](isa::Opcode op, std::int64_t n) {
       if (n)
         out[op] += n;

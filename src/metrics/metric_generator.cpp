@@ -192,6 +192,7 @@ private:
     CountStep step;
     step.multiplier = multiplier;
     step.comment = std::move(comment);
+    step.opcodes.reserve(opcodes.size());
     for (const auto &[op, n] : opcodes)
       step.opcodes[op] = static_cast<std::int64_t>(n);
     model_.counts.push_back(std::move(step));

@@ -8,11 +8,13 @@
 // in-process so the benchmarks need no Python interpreter.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/arch.h"
@@ -25,10 +27,45 @@ namespace mira::model {
 using symbolic::Env;
 using symbolic::Expr;
 
+/// Per-execution opcode counts of one step: (opcode, count) pairs kept
+/// sorted by opcode in one vector. A step holds a handful of opcodes, so
+/// this replaces a std::map's node per entry with a single allocation
+/// while iterating in the same order (the serialized bytes, the emitted
+/// Python and evaluate() depend on that order).
+class OpcodeHistogram {
+public:
+  using value_type = std::pair<isa::Opcode, std::int64_t>;
+  using const_iterator = std::vector<value_type>::const_iterator;
+
+  /// The count for `op`, inserted as 0 if absent (std::map semantics).
+  /// Inserting in increasing opcode order appends.
+  std::int64_t &operator[](isa::Opcode op) {
+    if (entries_.empty() || entries_.back().first < op)
+      return entries_.emplace_back(op, 0).second;
+    auto it = std::lower_bound(
+        entries_.begin(), entries_.end(), op,
+        [](const value_type &entry, isa::Opcode key) {
+          return entry.first < key;
+        });
+    if (it == entries_.end() || it->first != op)
+      it = entries_.insert(it, value_type(op, 0));
+    return it->second;
+  }
+
+  void reserve(std::size_t n) { entries_.reserve(n); }
+  std::size_t size() const { return entries_.size(); }
+  bool empty() const { return entries_.empty(); }
+  const_iterator begin() const { return entries_.begin(); }
+  const_iterator end() const { return entries_.end(); }
+
+private:
+  std::vector<value_type> entries_;
+};
+
 /// multiplier * opcode histogram.
 struct CountStep {
   Expr multiplier;
-  std::map<isa::Opcode, std::int64_t> opcodes;
+  OpcodeHistogram opcodes;
   std::string comment; // e.g. "loop body line 12 (vectorized main)"
 };
 

@@ -1,5 +1,10 @@
 #include "model/serialize.h"
 
+#include <algorithm>
+#include <iterator>
+#include <string_view>
+#include <utility>
+
 #include "isa/opcode.h"
 #include "support/binary_io.h"
 #include "symbolic/expr.h"
@@ -48,18 +53,68 @@ void putExpr(std::string &out, const Expr &expr) {
 
 // ------------------------------------------------------------- readers
 
+// Smallest encodings of the counted elements. A reserve() is capped at
+// the number of elements the remaining bytes could hold, so a hostile
+// count cannot make the decoder allocate far more than its input.
+constexpr std::size_t kMinExprBytes = 5;      // kind tag + name or count
+constexpr std::size_t kMinStringBytes = 4;    // length prefix
+constexpr std::size_t kMinFunctionBytes = 25; // 2 strings, 4 counts, flag
+constexpr std::size_t kMinCountStepBytes = kMinExprBytes + 4 + 4;
+constexpr std::size_t kMinCallStepBytes = kMinExprBytes + 4 + 4 + 4;
+constexpr std::size_t kOpcodeEntryBytes = 4 + 8;
+
+// Top-level expressions remembered for matching (see Reader::decoded).
+constexpr std::size_t kMaxMatchedExprs = 64;
+
 struct Reader : bio::Reader {
+  symbolic::ExprInterner &interner;
+  // Operands decoded but not yet attached to their node, shared by every
+  // level of the recursion: each node's operand vector is built at its
+  // exact size, never reserved from an encoded count.
+  std::vector<ExprNodeRef> pending;
+  // Top-level expressions decoded so far, by their encoded bytes. The
+  // encoding is self-delimiting, so input that begins with a decoded
+  // span decodes to that span's node: a repeated multiplier or argument
+  // binding is matched, not decoded again. Capped so a hostile payload
+  // of distinct expressions cannot make matching quadratic.
+  std::vector<std::pair<std::string_view, ExprNodeRef>> decoded;
+
+  Reader(const std::string &bytes, std::size_t offset,
+         symbolic::ExprInterner &interner)
+      : bio::Reader{bytes, offset}, interner(interner) {}
+
   bool exprNode(ExprNodeRef &out, std::size_t depth);
 
   bool expr(Expr &out) {
+    const std::string_view rest(bytes.data() + offset, remaining());
+    for (const auto &[span, node] : decoded) {
+      if (rest.compare(0, span.size(), span) == 0) {
+        offset += span.size();
+        out = Expr::fromNode(node); // already owned: no re-intern
+        return true;
+      }
+    }
+    const std::size_t start = offset;
     ExprNodeRef node;
     if (!exprNode(node, 0))
       return false;
+    if (decoded.size() < kMaxMatchedExprs)
+      decoded.emplace_back(rest.substr(0, offset - start), node);
     out = Expr::fromNode(std::move(node));
     return true;
   }
+
+  /// `count` capped at what the remaining bytes could encode.
+  std::size_t bounded(std::uint32_t count, std::size_t minBytes) const {
+    return std::min<std::size_t>(count, remaining() / minBytes);
+  }
 };
 
+// Decodes straight into the interner, children first, so each node is
+// built once as its canonical copy. Nodes are interned with the fields
+// the builders give them (value 0 and an empty name unless encoded), so
+// a decoded expression shares nodes with equal ones built in the same
+// interner, and reserializing it reproduces the input bytes.
 bool Reader::exprNode(ExprNodeRef &out, std::size_t depth) {
   if (depth > kMaxExprDepth)
     return false;
@@ -69,20 +124,22 @@ bool Reader::exprNode(ExprNodeRef &out, std::size_t depth) {
   if (kindTag > static_cast<std::uint8_t>(ExprKind::Sum))
     return false;
   const auto kind = static_cast<ExprKind>(kindTag);
-  auto node = std::make_shared<ExprNode>(kind);
+  std::string name;
   switch (kind) {
-  case ExprKind::IntConst:
-    if (!i64(node->value))
+  case ExprKind::IntConst: {
+    std::int64_t value = 0;
+    if (!i64(value))
       return false;
-    out = std::move(node);
+    out = interner.intern(kind, value, {}, {});
     return true;
+  }
   case ExprKind::Param:
-    if (!str(node->name))
+    if (!str(name))
       return false;
-    out = std::move(node);
+    out = interner.intern(kind, 0, std::move(name), {});
     return true;
   case ExprKind::Sum:
-    if (!str(node->name))
+    if (!str(name))
       return false;
     break;
   default:
@@ -96,14 +153,18 @@ bool Reader::exprNode(ExprNodeRef &out, std::size_t depth) {
     return false;
   if (kind == ExprKind::Sum && count != 3)
     return false;
-  node->operands.reserve(count);
+  const std::size_t base = pending.size();
   for (std::uint32_t i = 0; i < count; ++i) {
     ExprNodeRef child;
     if (!exprNode(child, depth + 1))
       return false;
-    node->operands.push_back(std::move(child));
+    pending.push_back(std::move(child));
   }
-  out = std::move(node);
+  const auto first = pending.begin() + static_cast<std::ptrdiff_t>(base);
+  std::vector<ExprNodeRef> operands(std::make_move_iterator(first),
+                                    std::make_move_iterator(pending.end()));
+  pending.erase(first, pending.end());
+  out = interner.intern(kind, 0, std::move(name), std::move(operands));
   return true;
 }
 
@@ -148,22 +209,21 @@ void serializeModel(const PerformanceModel &model, std::string &out) {
 
 bool deserializeModel(const std::string &bytes, std::size_t &offset,
                       PerformanceModel &out) {
-  Reader r{{bytes, offset}};
-  // One expression arena per payload: Expr::fromNode re-enters the
-  // current interner, so expressions repeated across a model's functions
-  // deserialize to shared nodes, and the table dies with this call
-  // instead of accumulating in the calling thread's default interner.
-  // Re-interning is structure-preserving, so reserializing the result
-  // reproduces the input bytes exactly (pinned by model_test).
+  // One expression arena per payload: expressions repeated across a
+  // model's functions decode to shared nodes, and the table dies with
+  // this call instead of accumulating in the calling thread's default
+  // interner. The Scope makes it current so the decoded Exprs and any
+  // math a caller later does on them share one table.
   symbolic::ExprInterner interner;
   symbolic::ExprInterner::Scope scope(interner);
+  Reader r(bytes, offset, interner);
   out = PerformanceModel();
   if (!r.str(out.sourceFile))
     return false;
   std::uint32_t functionCount = 0;
   if (!r.u32(functionCount) || functionCount > r.remaining())
     return false;
-  out.functions.reserve(functionCount);
+  out.functions.reserve(r.bounded(functionCount, kMinFunctionBytes));
   for (std::uint32_t f = 0; f < functionCount; ++f) {
     FunctionModel fn;
     if (!r.str(fn.sourceName) || !r.str(fn.modelName))
@@ -171,7 +231,7 @@ bool deserializeModel(const std::string &bytes, std::size_t &offset,
     std::uint32_t paramCount = 0;
     if (!r.u32(paramCount) || paramCount > r.remaining())
       return false;
-    fn.paramNames.reserve(paramCount);
+    fn.paramNames.reserve(r.bounded(paramCount, kMinStringBytes));
     for (std::uint32_t i = 0; i < paramCount; ++i) {
       std::string name;
       if (!r.str(name))
@@ -194,27 +254,31 @@ bool deserializeModel(const std::string &bytes, std::size_t &offset,
     std::uint32_t countSteps = 0;
     if (!r.u32(countSteps) || countSteps > r.remaining())
       return false;
+    fn.counts.reserve(r.bounded(countSteps, kMinCountStepBytes));
     for (std::uint32_t i = 0; i < countSteps; ++i) {
-      CountStep step;
+      CountStep &step = fn.counts.emplace_back();
       if (!r.expr(step.multiplier) || !r.str(step.comment))
         return false;
       std::uint32_t opcodeCount = 0;
       if (!r.u32(opcodeCount) || opcodeCount > r.remaining())
         return false;
+      step.opcodes.reserve(r.bounded(opcodeCount, kOpcodeEntryBytes));
       for (std::uint32_t o = 0; o < opcodeCount; ++o) {
         std::uint32_t opcode = 0;
         std::int64_t n = 0;
         if (!r.u32(opcode) || opcode >= isa::kNumOpcodes || !r.i64(n))
           return false;
+        // Unsorted or repeated entries decode as a std::map would: the
+        // last count for an opcode wins.
         step.opcodes[static_cast<isa::Opcode>(opcode)] = n;
       }
-      fn.counts.push_back(std::move(step));
     }
     std::uint32_t callSteps = 0;
     if (!r.u32(callSteps) || callSteps > r.remaining())
       return false;
+    fn.calls.reserve(r.bounded(callSteps, kMinCallStepBytes));
     for (std::uint32_t i = 0; i < callSteps; ++i) {
-      CallStep step;
+      CallStep &step = fn.calls.emplace_back();
       if (!r.expr(step.multiplier) || !r.str(step.callee) ||
           !r.u32(step.line))
         return false;
@@ -228,7 +292,6 @@ bool deserializeModel(const std::string &bytes, std::size_t &offset,
           return false;
         step.argBindings.emplace(std::move(name), expr);
       }
-      fn.calls.push_back(std::move(step));
     }
     out.functions.push_back(std::move(fn));
   }

@@ -4,14 +4,18 @@
 // The encoding is a straightforward length-prefixed tree walk: strings
 // are u32-length + bytes, containers are u32-count + elements, and
 // symbolic::Expr nodes are a one-byte kind tag followed by their
-// children. Deserialization rebuilds Expr nodes verbatim (bypassing the
-// canonicalizing builders) so a cached model's emitted Python is
-// byte-identical to the freshly computed one — the property the batch
-// determinism tests pin.
+// children. Deserialization decodes each expression once, children
+// first, interning every node as it is read into one arena per payload.
+// Interning keeps the structure exactly (it bypasses the canonicalizing
+// builders), so a cached model's emitted Python is byte-identical to the
+// freshly computed one — the property the batch determinism tests pin.
+// A top-level expression whose bytes repeat an earlier one in the same
+// payload reuses that one's node.
 //
 // Robustness: deserializeModel never throws and never trusts a length —
-// every read is bounds-checked against the remaining buffer, opcode tags
-// are validated against the ISA, and expression nesting is depth-capped.
+// every read is bounds-checked against the remaining buffer, no reserve
+// exceeds what the remaining bytes could encode, opcode tags are
+// validated against the ISA, and expression nesting is depth-capped.
 // A malformed buffer yields `false` (the cache layer then treats the
 // entry as corrupt and recomputes). The byte format carries no version
 // of its own: cache_store.h's schema-version header versions the whole

@@ -65,13 +65,13 @@ public:
   static Expr sum(std::string var, Expr lo, Expr hi, Expr body);
 
   /// Wrap an already-built node, bypassing the canonicalizing builders.
-  /// For deserialization (model/serialize.h) only: the node must come
-  /// from a tree that was canonical when serialized, so re-canonicalizing
-  /// would be at best a no-op and at worst a source of byte-level drift
-  /// between cached and fresh models. The tree IS re-entered into the
-  /// calling thread's ExprInterner (structure-preserving, so serialized
-  /// bytes cannot drift) to restore node sharing and the cached
-  /// hash/order-key that deserialized nodes lack.
+  /// The decoder (model/serialize.h) interns each node as it reads it
+  /// and wraps the result here; the node must come from a tree that was
+  /// canonical when serialized, so re-canonicalizing would be at best a
+  /// no-op and at worst a source of byte-level drift between cached and
+  /// fresh models. A node owned by another interner is re-entered into
+  /// the calling thread's one (structure-preserving, so serialized bytes
+  /// cannot drift); a node the current interner owns is wrapped as is.
   static Expr fromNode(ExprNodeRef node);
 
   friend Expr operator+(const Expr &a, const Expr &b);
@@ -129,8 +129,7 @@ public:
   std::vector<ExprNodeRef> operands;  // others
 
   // Hash-consing metadata, filled once by ExprInterner when the node is
-  // interned (zero/empty on raw deserialized nodes until fromNode
-  // re-enters them). `hash` is the structural hash; `key` caches the
+  // interned. `hash` is the structural hash; `key` caches the
   // canonical ordering key the builders sort commutative operand lists
   // by, in the exact historical format ("#3", "pN", "A(pN,#1,)", ...)
   // so interning cannot move bytes in any serialized output. `ownerId`

@@ -27,9 +27,8 @@
 // they outlive the interner wherever models still reference them.
 //
 // Counters: process-wide hit/miss/node tallies are exported as
-// mira_intern_{hits,misses,nodes} through core::MetricsRegistry (the
-// server publishes them on every metrics render; bench_batch_throughput
-// prints them after its cold phase).
+// mira_intern_{hits,misses,nodes} through core::MetricsRegistry (a batch
+// run publishes them when it ends, the server on every metrics render).
 #pragma once
 
 #include <cstdint>
@@ -64,10 +63,10 @@ public:
   ExprNodeRef intern(ExprKind kind, std::int64_t value, std::string name,
                      std::vector<ExprNodeRef> operands);
 
-  /// Canonicalize an existing tree (deserialized or built under another
-  /// interner) bottom-up, preserving its structure byte-for-byte — the
-  /// re-entry path Expr::fromNode uses so cached models dedup without
-  /// serialization drift. O(1) for nodes this interner already owns.
+  /// Canonicalize a tree built under another interner bottom-up,
+  /// preserving its structure byte-for-byte (Expr::fromNode, and
+  /// builders handed operands from another scope). O(1) for nodes this
+  /// interner already owns.
   ExprNodeRef reintern(const ExprNodeRef &node);
 
   /// Unique nodes owned by this interner.

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <set>
+#include <sstream>
 
 #include "driver/batch.h"
 #include "model/python_emitter.h"
@@ -332,6 +334,41 @@ TEST(BatchAnalyzerTest, CachePersistsAcrossRuns) {
   analyzer.clearCache();
   analyzer.runArtifacts(specs);
   EXPECT_EQ(analyzer.stats().cacheMisses, specs.size());
+}
+
+/// Value of the first `name <value>` sample line in a Prometheus render,
+/// or nullopt when no such line exists.
+std::optional<std::uint64_t> sampleValue(const std::string &text,
+                                         const std::string &name) {
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line))
+    if (line.compare(0, name.size() + 1, name + " ") == 0)
+      return std::stoull(line.substr(name.size() + 1));
+  return std::nullopt;
+}
+
+TEST(BatchAnalyzerTest, PublishesInternCountersAfterABatch) {
+  // The 15 embedded sources: ten Table I kernels plus the fig series.
+  auto specs = coverageSpecs();
+  for (const auto &workload : workloads::figSeriesWorkloads())
+    specs.push_back(makeSpec(*workload.source, workload.name));
+  BatchOptions options;
+  options.threads = 4;
+  BatchAnalyzer analyzer(options);
+  analyzer.runArtifacts(specs);
+  ASSERT_EQ(analyzer.stats().failures, 0u);
+
+  // The hash-consing interner must be deduplicating (hits) as well as
+  // building (misses), and both must reach the registry's render.
+  const std::string text = analyzer.metrics().renderText();
+  const auto hits = sampleValue(text, "mira_intern_hits");
+  const auto misses = sampleValue(text, "mira_intern_misses");
+  ASSERT_TRUE(hits.has_value()) << text;
+  ASSERT_TRUE(misses.has_value()) << text;
+  EXPECT_GT(*hits, 0u);
+  EXPECT_GT(*misses, 0u);
+  EXPECT_TRUE(sampleValue(text, "mira_intern_nodes").has_value()) << text;
 }
 
 TEST(BatchAnalyzerTest, DifferentOptionsDoNotShareCacheEntries) {

@@ -1,12 +1,27 @@
 // Model / arch / baseline / bridge unit tests.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <functional>
+#include <map>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "arch/arch.h"
 #include "baseline/pbound.h"
 #include "core/artifacts.h"
 #include "core/mira.h"
 #include "model/model.h"
 #include "model/python_emitter.h"
+#include "model/serialize.h"
+#include "support/binary_io.h"
 
 namespace mira {
 namespace {
@@ -87,6 +102,182 @@ TEST(Model, RequiredParametersCrossCallBoundaries) {
   EXPECT_TRUE(params.count("reps"));
   EXPECT_TRUE(params.count("m"));
   EXPECT_FALSE(params.count("n")) << "bound by the call step";
+}
+
+// ------------------------------------------------------ opcode histogram
+
+using OpcodeList = std::vector<std::pair<isa::Opcode, std::int64_t>>;
+
+template <typename Histogram> OpcodeList listOf(const Histogram &histogram) {
+  return OpcodeList(histogram.begin(), histogram.end());
+}
+
+TEST(OpcodeHistogram, InsertsInAnyOrderIterateLikeAStdMap) {
+  OpcodeHistogram fixed;
+  fixed[isa::Opcode::MULSD] = 1;
+  fixed[isa::Opcode::ADDSD] = 2;
+  fixed[isa::Opcode::MULSD] += 3;
+  std::map<isa::Opcode, std::int64_t> fixedReference{
+      {isa::Opcode::MULSD, 4}, {isa::Opcode::ADDSD, 2}};
+  EXPECT_EQ(listOf(fixed), listOf(fixedReference));
+
+  std::mt19937 rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    OpcodeHistogram flat;
+    std::map<isa::Opcode, std::int64_t> reference;
+    const int inserts = static_cast<int>(rng() % 24);
+    for (int i = 0; i < inserts; ++i) {
+      // A narrow opcode range forces repeats and out-of-order keys.
+      const auto op = static_cast<isa::Opcode>(rng() % 10);
+      const std::int64_t n = static_cast<std::int64_t>(rng() % 100) - 50;
+      if (rng() % 2) {
+        flat[op] += n;
+        reference[op] += n;
+      } else {
+        flat[op] = n;
+        reference[op] = n;
+      }
+    }
+    EXPECT_EQ(flat.size(), reference.size());
+    EXPECT_EQ(flat.empty(), reference.empty());
+    EXPECT_EQ(listOf(flat), listOf(reference));
+  }
+}
+
+/// One function with one count step `n * {entries}`, encoded by hand so
+/// the opcode entries can be out of order or repeated.
+std::string oneStepPayload(const OpcodeList &entries) {
+  std::string out;
+  bio::putString(out, "hand.mc");
+  bio::putU32(out, 1); // functions
+  bio::putString(out, "f");
+  bio::putString(out, "f_1");
+  bio::putU32(out, 0); // parameter names
+  bio::putU8(out, 1);  // exact
+  bio::putU32(out, 0); // notes
+  bio::putU32(out, 1); // count steps
+  bio::putU8(out, static_cast<std::uint8_t>(symbolic::ExprKind::Param));
+  bio::putString(out, "n");
+  bio::putString(out, "body");
+  bio::putU32(out, static_cast<std::uint32_t>(entries.size()));
+  for (const auto &[op, n] : entries) {
+    bio::putU32(out, static_cast<std::uint32_t>(op));
+    bio::putI64(out, n);
+  }
+  bio::putU32(out, 0); // call steps
+  return out;
+}
+
+TEST(Serialize, UnsortedOrRepeatedOpcodeEntriesDecodeLikeAMap) {
+  const OpcodeList entries = {{isa::Opcode::MULSD, 4},
+                              {isa::Opcode::ADDSD, 1},
+                              {isa::Opcode::MOVSD_RM, 2},
+                              {isa::Opcode::ADDSD, 7},
+                              {isa::Opcode::MULSD, 5}};
+  // What a std::map decoder gives: the last count for an opcode wins and
+  // the entries come back sorted.
+  std::map<isa::Opcode, std::int64_t> reference;
+  for (const auto &[op, n] : entries)
+    reference[op] = n;
+
+  const std::string bytes = oneStepPayload(entries);
+  PerformanceModel decoded;
+  std::size_t offset = 0;
+  ASSERT_TRUE(deserializeModel(bytes, offset, decoded));
+  EXPECT_EQ(offset, bytes.size());
+  ASSERT_EQ(decoded.functions.size(), 1u);
+  ASSERT_EQ(decoded.functions[0].counts.size(), 1u);
+  EXPECT_EQ(listOf(decoded.functions[0].counts[0].opcodes),
+            listOf(reference));
+
+  std::string again;
+  serializeModel(decoded, again);
+  EXPECT_EQ(again, oneStepPayload(listOf(reference)));
+}
+
+/// Address space the calling process has mapped, from /proc/self/status.
+std::uint64_t mappedBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.compare(0, 7, "VmSize:") == 0)
+      return std::stoull(line.substr(7)) * 1024;
+  return 0;
+}
+
+TEST(Serialize, HostileCountsCannotOutgrowTheInput) {
+  // Each payload is a valid prefix, one count of 16 Mi, then 16 MiB of
+  // zero bytes, so every count passes the "no more elements than bytes
+  // left" check. Reserving by the count alone would ask for gigabytes
+  // (16 Mi FunctionModels); the decoder must instead fail cleanly when
+  // the bytes run out, inside 1 GiB of address space.
+  constexpr std::uint32_t kCount = 16u << 20;
+  auto functionHeader = [](std::string &out) {
+    bio::putString(out, "");
+    bio::putU32(out, 1);
+    bio::putString(out, "f");
+    bio::putString(out, "f_1");
+  };
+  auto beforeCounts = [&](std::string &out) {
+    functionHeader(out);
+    bio::putU32(out, 0); // parameter names
+    bio::putU8(out, 1);  // exact
+    bio::putU32(out, 0); // notes
+  };
+  const std::vector<std::function<void(std::string &)>> prefixes = {
+      [](std::string &out) { bio::putString(out, ""); }, // functions
+      functionHeader,                                    // parameter names
+      beforeCounts, // count steps
+      [&](std::string &out) { // opcode entries
+        beforeCounts(out);
+        bio::putU32(out, 1);
+        bio::putU8(out, static_cast<std::uint8_t>(symbolic::ExprKind::Param));
+        bio::putString(out, "n");
+        bio::putString(out, "");
+      },
+      [&](std::string &out) { // call steps
+        beforeCounts(out);
+        bio::putU32(out, 0);
+      },
+      [&](std::string &out) { // expression operands
+        beforeCounts(out);
+        bio::putU32(out, 1);
+        bio::putU8(out, static_cast<std::uint8_t>(symbolic::ExprKind::Add));
+      },
+  };
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // noexcept: a std::bad_alloc out of the decoder aborts the child
+    // instead of unwinding into the test framework's copy of itself.
+    [&]() noexcept {
+      // 1 GiB on top of what the process already maps (a sanitizer
+      // runtime maps terabytes of shadow up front).
+      const rlim_t cap = mappedBytes() + (rlim_t{1} << 30);
+      const rlimit limit{cap, cap};
+      if (::setrlimit(RLIMIT_AS, &limit) != 0)
+        std::_Exit(100);
+      for (std::size_t i = 0; i < prefixes.size(); ++i) {
+        std::string bytes;
+        prefixes[i](bytes);
+        bio::putU32(bytes, kCount);
+        bytes.resize(bytes.size() + kCount, '\0');
+        PerformanceModel out;
+        std::size_t offset = 0;
+        if (deserializeModel(bytes, offset, out))
+          std::_Exit(static_cast<int>(1 + i));
+      }
+    }();
+    std::_Exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status))
+      << "decoder child killed by signal " << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "100: setrlimit failed; otherwise 1 + the index of the payload "
+         "that decoded";
 }
 
 TEST(Model, CategoriesAggregation) {

@@ -194,9 +194,9 @@ TEST_P(ModelRoundTripProperty, SerializeDeserializeReinternIsByteIdentical) {
     std::string bytes;
     model::serializeModel(m, bytes);
 
-    // Deserialization re-enters an interner (Expr::fromNode); the trip
-    // must not move a single byte, or cached and fresh models would
-    // diverge under the daemon's differential pins.
+    // Deserialization interns each node as it reads it; the trip must
+    // not move a single byte, or cached and fresh models would diverge
+    // under the daemon's differential pins.
     model::PerformanceModel restored;
     std::size_t offset = 0;
     ASSERT_TRUE(model::deserializeModel(bytes, offset, restored));

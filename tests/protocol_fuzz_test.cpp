@@ -27,12 +27,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "core/artifacts.h"
 #include "corpus/manifest.h"
 #include "driver/batch.h"
+#include "model/serialize.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
 #include "support/socket.h"
+#include "workloads/random_kernels.h"
+#include "workloads/workloads.h"
 
 namespace mira::server {
 namespace {
@@ -431,11 +435,50 @@ TEST(ProtocolFuzz, MutatedFramesNeverCrashTheDecoders) {
   SUCCEED();
 }
 
+/// The model of one analyzed source, for seeding the payload fuzz with
+/// real expressions, count steps and opcode histograms.
+model::PerformanceModel analyzedModel(const std::string &source,
+                                      const std::string &name) {
+  core::AnalysisSpec spec;
+  spec.name = name;
+  spec.source = source;
+  spec.artifacts = core::kArtifactModel | core::kArtifactDiagnostics;
+  DiagnosticEngine diags;
+  core::Artifacts artifacts = core::analyze(spec, diags);
+  EXPECT_TRUE(artifacts.ok && artifacts.model) << name << ":\n"
+                                               << diags.str();
+  return artifacts.model ? *artifacts.model : model::PerformanceModel();
+}
+
+bool hasRepeatedMultiplier(const model::FunctionModel &fn) {
+  for (std::size_t i = 0; i < fn.counts.size(); ++i)
+    for (std::size_t j = i + 1; j < fn.counts.size(); ++j)
+      if (fn.counts[i].multiplier.equals(fn.counts[j].multiplier))
+        return true;
+  return false;
+}
+
 TEST(ProtocolFuzz, MutatedPayloadCodecsNeverCrash) {
   std::mt19937_64 rng(kSeed ^ 0x3);
-  // Seed corpus: a success payload with a coverage summary, a failure
+  // Seed corpus: success payloads with a coverage summary (an empty
+  // model, fig5, and a seeded array kernel whose driver binds call
+  // arguments and whose loop lines share multipliers), a failure
   // payload, a manifest, a report.
   const model::PerformanceModel emptyModel;
+  const model::PerformanceModel fig5 =
+      analyzedModel(workloads::fig5Source(), "fig5.mc");
+  std::mt19937 kernelRng(7);
+  const model::PerformanceModel kernel =
+      analyzedModel(workloads::makeArrayKernel(kernelRng), "kernel.mc");
+  bool bindsArguments = false, repeatsMultipliers = false;
+  for (const model::FunctionModel &fn : kernel.functions) {
+    for (const model::CallStep &call : fn.calls)
+      bindsArguments = bindsArguments || !call.argBindings.empty();
+    repeatsMultipliers = repeatsMultipliers || hasRepeatedMultiplier(fn);
+  }
+  ASSERT_TRUE(bindsArguments);
+  ASSERT_TRUE(repeatsMultipliers);
+
   const sema::LoopCoverage coverage{3, 10, 7};
   corpus::Manifest manifest;
   manifest.root = "r";
@@ -446,6 +489,8 @@ TEST(ProtocolFuzz, MutatedPayloadCodecsNeverCrash) {
   const std::vector<std::string> seeds = {
       driver::serializeArtifactPayload(&emptyModel, &coverage, "diag",
                                        "producer"),
+      driver::serializeArtifactPayload(&fig5, &coverage, "", "mira"),
+      driver::serializeArtifactPayload(&kernel, nullptr, "", "mira"),
       driver::serializeArtifactPayload(nullptr, nullptr, "d", "p"),
       corpus::serializeManifest(manifest),
       driver::serializeBatchReport(report),
@@ -456,8 +501,21 @@ TEST(ProtocolFuzz, MutatedPayloadCodecsNeverCrash) {
       std::shared_ptr<const core::AnalysisResult> analysis;
       std::optional<sema::LoopCoverage> coverage;
       std::string diagnostics, producer;
-      (void)driver::deserializeArtifactPayload(bytes, analysis, coverage,
-                                               diagnostics, producer);
+      if (driver::deserializeArtifactPayload(bytes, analysis, coverage,
+                                             diagnostics, producer)) {
+        // Whatever decodes must re-encode to a fixed point: the decoded
+        // model is what every later reader of those bytes sees.
+        auto reserialize = [&] {
+          return driver::serializeArtifactPayload(
+              analysis ? &analysis->model : nullptr,
+              coverage ? &*coverage : nullptr, diagnostics, producer);
+        };
+        const std::string once = reserialize();
+        ASSERT_TRUE(driver::deserializeArtifactPayload(
+            once, analysis, coverage, diagnostics, producer))
+            << "iteration " << i;
+        EXPECT_EQ(reserialize(), once) << "iteration " << i;
+      }
     }
     {
       corpus::Manifest decoded;
@@ -471,6 +529,51 @@ TEST(ProtocolFuzz, MutatedPayloadCodecsNeverCrash) {
     }
   }
   SUCCEED();
+}
+
+TEST(ProtocolFuzz, RepeatedMultipliersDecodeToOneNode) {
+  using symbolic::Expr;
+  const Expr n = Expr::param("n");
+  model::PerformanceModel m;
+  model::FunctionModel fn;
+  fn.sourceName = "f";
+  fn.modelName = "f_1";
+  const Expr multipliers[] = {n * (n + Expr::intConst(1)),
+                              n * (n + Expr::intConst(1)),
+                              n * (n + Expr::intConst(2))};
+  const char *comments[] = {"first", "second", "third"};
+  for (int s = 0; s < 3; ++s) {
+    model::CountStep step;
+    step.multiplier = multipliers[s];
+    step.comment = comments[s];
+    step.opcodes[isa::Opcode::ADDSD] = s + 1;
+    fn.counts.push_back(std::move(step));
+  }
+  m.functions.push_back(std::move(fn));
+  std::string bytes;
+  model::serializeModel(m, bytes);
+
+  model::PerformanceModel decoded;
+  std::size_t offset = 0;
+  ASSERT_TRUE(model::deserializeModel(bytes, offset, decoded));
+  ASSERT_EQ(offset, bytes.size());
+  const auto &counts = decoded.functions[0].counts;
+  EXPECT_EQ(&counts[0].multiplier.node(), &counts[1].multiplier.node());
+  EXPECT_NE(&counts[0].multiplier.node(), &counts[2].multiplier.node());
+  EXPECT_FALSE(counts[0].multiplier.equals(counts[2].multiplier));
+  std::string again;
+  model::serializeModel(decoded, again);
+  EXPECT_EQ(again, bytes);
+
+  // The second copy starts after the first step's comment and its one
+  // opcode entry (u32 count, u32 opcode, i64 count). An invalid kind tag
+  // there must fail the decode even though the first copy is intact.
+  const std::size_t second = bytes.find("first") + 5 + 4 + 4 + 8;
+  ASSERT_EQ(bytes[second], static_cast<char>(symbolic::ExprKind::Mul));
+  std::string corrupt = bytes;
+  corrupt[second] = static_cast<char>(0xff);
+  offset = 0;
+  EXPECT_FALSE(model::deserializeModel(corrupt, offset, decoded));
 }
 
 // ------------------------------------------------- live-server layer
