@@ -1,5 +1,8 @@
 #include "core/metrics_registry.h"
 
+#include <cstdio>
+#include <fstream>
+
 namespace mira::core {
 
 MetricsRegistry::Counter &MetricsRegistry::counter(const std::string &name) {
@@ -49,6 +52,19 @@ std::string MetricsRegistry::renderText(const std::vector<Sample> &samples) {
     out += full + " " + std::to_string(sample.value) + "\n";
   }
   return out;
+}
+
+bool MetricsRegistry::writeTextFile(const std::string &path) const {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out)
+      return false;
+    out << renderText();
+    if (!out)
+      return false;
+  }
+  return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
 } // namespace mira::core

@@ -98,6 +98,11 @@ public:
   /// snapshot() + renderText() in one call.
   std::string renderText() const { return renderText(snapshot()); }
 
+  /// Atomically (re)write `path` with renderText(): the text goes to
+  /// `path + ".tmp"`, which is then renamed over `path`, so a reader
+  /// never sees a half-written file. False when either step fails.
+  bool writeTextFile(const std::string &path) const;
+
 private:
   mutable std::mutex mutex_;
   // unique_ptr cells: map rebalancing must not move the atomics that

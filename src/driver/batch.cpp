@@ -346,20 +346,19 @@ std::string serializeArtifactPayload(const model::PerformanceModel *model,
   return out;
 }
 
-bool deserializeArtifactPayload(
-    const std::string &payload,
-    std::shared_ptr<const core::AnalysisResult> &analysis,
-    std::optional<sema::LoopCoverage> &coverage, std::string &diagnostics,
-    std::string &producerName) {
-  coverage.reset();
+bool readArtifactPayloadHead(const std::string &payload,
+                             ArtifactPayloadHead &head) {
+  head = ArtifactPayloadHead();
   bio::Reader r{payload, 0};
   std::uint8_t ok = 0;
   if (!r.u8(ok) || ok > 1)
     return false;
-  if (!r.str(producerName) || !r.str(diagnostics))
+  if (!r.str(head.producerName) || !r.str(head.diagnostics))
     return false;
-  if (!ok) {
-    analysis = nullptr;
+  head.ok = ok != 0;
+  head.coverageOffset = r.offset;
+  if (!head.ok) {
+    head.modelOffset = r.offset;
     return r.remaining() == 0;
   }
   std::uint8_t hasCoverage = 0;
@@ -373,10 +372,30 @@ bool deserializeArtifactPayload(
     summary.loops = static_cast<std::size_t>(loops);
     summary.statements = static_cast<std::size_t>(statements);
     summary.inLoopStatements = static_cast<std::size_t>(inLoop);
-    coverage = summary;
+    head.coverage = summary;
+  }
+  head.modelOffset = r.offset;
+  return true;
+}
+
+bool deserializeArtifactPayload(
+    const std::string &payload,
+    std::shared_ptr<const core::AnalysisResult> &analysis,
+    std::optional<sema::LoopCoverage> &coverage, std::string &diagnostics,
+    std::string &producerName) {
+  coverage.reset();
+  ArtifactPayloadHead head;
+  if (!readArtifactPayloadHead(payload, head))
+    return false;
+  producerName = std::move(head.producerName);
+  diagnostics = std::move(head.diagnostics);
+  coverage = head.coverage;
+  if (!head.ok) {
+    analysis = nullptr;
+    return true;
   }
   auto result = std::make_shared<core::AnalysisResult>();
-  std::size_t offset = r.offset;
+  std::size_t offset = head.modelOffset;
   if (!model::deserializeModel(payload, offset, result->model))
     return false;
   if (offset != payload.size())

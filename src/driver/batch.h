@@ -237,6 +237,26 @@ std::string serializeArtifactPayload(const model::PerformanceModel *model,
                                      const std::string &diagnostics,
                                      const std::string &producerName);
 
+/// The sections of a serializeArtifactPayload buffer ahead of the model
+/// bytes, parsed by readArtifactPayloadHead.
+struct ArtifactPayloadHead {
+  bool ok = false;            ///< the payload carries a model
+  std::string producerName;
+  std::string diagnostics;
+  std::optional<sema::LoopCoverage> coverage; ///< empty when not carried
+  /// Where `[hasCoverage u8]...` begins; modelOffset - coverageOffset is
+  /// the coverage section's size (0 for a cached failure).
+  std::size_t coverageOffset = 0;
+  /// Where the model bytes begin (the payload's end for a failure).
+  std::size_t modelOffset = 0;
+};
+
+/// Parse the head of a serializeArtifactPayload buffer without touching
+/// the model bytes. False on a structural problem in the head: bounds,
+/// a flag byte above 1, or bytes after a cached failure's diagnostics.
+bool readArtifactPayloadHead(const std::string &payload,
+                             ArtifactPayloadHead &head);
+
 /// Parse a serializeArtifactPayload buffer. Returns false on any
 /// structural problem (bounds, trailing garbage) — callers treat that
 /// as corruption and recompute. On success `analysis` is null iff the

@@ -129,7 +129,6 @@
 #include "driver/batch.h"
 #include "fleet/coordinator.h"
 #include "model/python_emitter.h"
-#include "support/binary_io.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "support/socket.h"
@@ -618,6 +617,17 @@ void printReportSummary(const driver::BatchReport &report) {
                 stats.diskHits, stats.diskMisses, stats.diskStores);
 }
 
+/// One `name | status | key` row per report entry, then the summary
+/// block: the stdout of a report that came back whole from elsewhere
+/// (a daemon's manifest batch, a fleet's merged shards).
+void printReportEntries(const driver::BatchReport &report) {
+  for (const auto &entry : report.entries)
+    std::printf("%-24s | %-6s | %016llx\n", entry.name.c_str(),
+                entry.ok ? "ok" : "FAILED",
+                static_cast<unsigned long long>(entry.key));
+  printReportSummary(report);
+}
+
 int cmdManifest(std::vector<std::string> args) {
   CommonFlags flags;
   if (!parseFlags(args, flags) || args.empty())
@@ -1103,11 +1113,7 @@ int RemoteBackend::manifestBatch() {
     return 4;
   }
   std::printf("%-24s | %-6s | %16s\n", "source", "status", "key");
-  for (const auto &entry : report.entries)
-    std::printf("%-24s | %-6s | %016llx\n", entry.name.c_str(),
-                entry.ok ? "ok" : "FAILED",
-                static_cast<unsigned long long>(entry.key));
-  printReportSummary(report);
+  printReportEntries(report);
   // The daemon's report bytes go to disk untouched: `manifest
   // merge` and byte-comparisons see exactly what a local shard
   // run would have written.
@@ -1425,26 +1431,16 @@ int cmdCache(std::vector<std::string> args) {
       if (!payload)
         continue; // other schema version, or raced with a writer
       ++readable;
-      bio::Reader r{*payload, 0};
-      std::uint8_t ok = 0;
-      std::string producer, diagnostics;
-      if (!r.u8(ok) || !r.str(producer) || !r.str(diagnostics))
+      driver::ArtifactPayloadHead head;
+      if (!driver::readArtifactPayloadHead(*payload, head))
         continue;
-      diagnosticsBytes += diagnostics.size();
-      if (!ok) {
+      diagnosticsBytes += head.diagnostics.size();
+      if (!head.ok) {
         ++failureEntries;
         continue;
       }
-      std::uint8_t hasCoverage = 0;
-      const std::size_t beforeCoverage = r.offset;
-      std::uint64_t scratch = 0;
-      if (!r.u8(hasCoverage))
-        continue;
-      if (hasCoverage &&
-          (!r.u64(scratch) || !r.u64(scratch) || !r.u64(scratch)))
-        continue;
-      coverageBytes += r.offset - beforeCoverage;
-      modelBytes += r.remaining();
+      coverageBytes += head.modelOffset - head.coverageOffset;
+      modelBytes += payload->size() - head.modelOffset;
     }
     std::printf("readable entries  : %zu (%zu cached failures)\n", readable,
                 failureEntries);
@@ -1796,11 +1792,7 @@ int cmdCoordinate(std::vector<std::string> args) {
     }
   }
 
-  for (const auto &entry : result.report.entries)
-    std::printf("%-24s | %-6s | %016llx\n", entry.name.c_str(),
-                entry.ok ? "ok" : "FAILED",
-                static_cast<unsigned long long>(entry.key));
-  printReportSummary(result.report);
+  printReportEntries(result.report);
   // The merged bytes go to disk untouched: byte-identical to a local
   // 1-process `batch --manifest --report` run by the fleet contract.
   if (!flags.reportPath.empty() &&

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
-#include <fstream>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -112,18 +110,8 @@ private:
 
   /// Atomically (re)write options_.metricsFile; no-op when unset.
   void writeMetricsFile() const {
-    if (options_.metricsFile.empty())
-      return;
-    const std::string tmp = options_.metricsFile + ".tmp";
-    {
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      if (!out)
-        return;
-      out << registry_.renderText();
-      if (!out)
-        return;
-    }
-    ::rename(tmp.c_str(), options_.metricsFile.c_str());
+    if (!options_.metricsFile.empty())
+      registry_.writeTextFile(options_.metricsFile);
   }
 
   /// Is shard `i` leasable by worker `w` right now? Prefer workers that

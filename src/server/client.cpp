@@ -51,44 +51,18 @@ bool Client::finishConnect(const std::string &where) {
 
 void Client::disconnect() { socket_.close(); }
 
-bool Client::receiveReply(MessageType &type, std::string &reply) {
-  net::FrameStatus status =
-      net::readFrame(socket_.fd(), reply, kMaxFrameBytes);
-  if (status != net::FrameStatus::ok) {
-    disconnect();
-    switch (status) {
-    case net::FrameStatus::closed:
-      return fail(ErrorKind::transport, "daemon closed the connection");
-    case net::FrameStatus::truncated:
-      return fail(ErrorKind::transport,
-                  "daemon closed the connection mid-reply");
-    case net::FrameStatus::oversized:
-      return fail(ErrorKind::protocol, "reply frame exceeds the frame cap");
-    default:
-      return fail(ErrorKind::transport, "receive failed");
-    }
-  }
-  bio::Reader r{reply, 0};
-  std::string headerError;
-  if (!readHeader(r, type, headerError)) {
-    disconnect();
-    return fail(ErrorKind::protocol, "malformed reply: " + headerError);
-  }
-  if (type == MessageType::error) {
-    std::string message;
-    // The daemon closes the connection after an Error reply.
-    disconnect();
-    if (decodeErrorReply(r, message))
-      return fail(ErrorKind::daemon, "daemon error: " + message);
-    return fail(ErrorKind::protocol, "daemon error (unreadable message)");
-  }
-  // Strip the consumed header so callers decode the body only.
-  reply.erase(0, r.offset);
-  return true;
+template <typename Body>
+bool Client::decode(const std::string &bytes,
+                    bool (*decoder)(bio::Reader &, Body &), Body &body,
+                    const char *malformed) {
+  bio::Reader r{bytes, 0};
+  if (decoder(r, body))
+    return true;
+  disconnect();
+  return fail(ErrorKind::protocol, malformed);
 }
 
-bool Client::roundTrip(const std::string &request, MessageType expected,
-                       std::string &reply) {
+bool Client::send(const std::string &request) {
   if (!socket_.valid())
     return fail(ErrorKind::connect, "not connected");
   // The frame cap is a protocol MUST for both peers: refuse to send an
@@ -99,38 +73,96 @@ bool Client::roundTrip(const std::string &request, MessageType expected,
                 "request of " + std::to_string(request.size()) +
                     " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
                     "-byte frame cap; split the request");
-  for (std::size_t attempt = 0;; ++attempt) {
-    if (!net::writeFrame(socket_.fd(), request)) {
+  if (!net::writeFrame(socket_.fd(), request)) {
+    disconnect();
+    return fail(ErrorKind::transport, "send failed (daemon gone?)");
+  }
+  return true;
+}
+
+bool Client::receive(MessageType expected, const ProgressFn &onProgress,
+                     std::string &reply, std::uint32_t &busyMillis) {
+  busyMillis = 0;
+  for (;;) {
+    net::FrameStatus status =
+        net::readFrame(socket_.fd(), reply, kMaxFrameBytes);
+    if (status != net::FrameStatus::ok) {
       disconnect();
-      return fail(ErrorKind::transport, "send failed (daemon gone?)");
-    }
-    MessageType type{};
-    if (!receiveReply(type, reply))
-      return false;
-    if (type == MessageType::busyReply) {
-      // The daemon refused without queueing and left the connection
-      // open: back off for the server-supplied hint and resend.
-      bio::Reader r{reply, 0};
-      BusyReply busy;
-      if (!decodeBusyReply(r, busy)) {
-        disconnect();
-        return fail(ErrorKind::protocol, "malformed busy reply");
+      switch (status) {
+      case net::FrameStatus::closed:
+        return fail(ErrorKind::transport, "daemon closed the connection");
+      case net::FrameStatus::truncated:
+        return fail(ErrorKind::transport,
+                    "daemon closed the connection mid-reply");
+      case net::FrameStatus::oversized:
+        return fail(ErrorKind::protocol, "reply frame exceeds the frame cap");
+      default:
+        return fail(ErrorKind::transport, "receive failed");
       }
-      if (attempt >= busy_retries_)
-        return fail(ErrorKind::busy,
-                    "daemon at capacity (gave up after " +
-                        std::to_string(busy_retries_) + " retries)");
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          busy.retryAfterMillis ? busy.retryAfterMillis : 10));
+    }
+    bio::Reader r{reply, 0};
+    MessageType type{};
+    std::string headerError;
+    if (!readHeader(r, type, headerError)) {
+      disconnect();
+      return fail(ErrorKind::protocol, "malformed reply: " + headerError);
+    }
+    // Strip the consumed header so only the body is decoded.
+    reply.erase(0, r.offset);
+    if (type == expected)
+      return true;
+    if (type == MessageType::error) {
+      std::string message;
+      if (!decode(reply, decodeErrorReply, message,
+                  "daemon error (unreadable message)"))
+        return false;
+      // The daemon closes the connection after an Error reply.
+      disconnect();
+      return fail(ErrorKind::daemon, "daemon error: " + message);
+    }
+    if (type == MessageType::busyReply) {
+      // Refused without queueing and the connection left open: nothing
+      // ran, so the caller may resend after the hint.
+      BusyReply busy;
+      if (!decode(reply, decodeBusyReply, busy, "malformed busy reply"))
+        return false;
+      busyMillis = busy.retryAfterMillis ? busy.retryAfterMillis : 10;
+      return true;
+    }
+    if (type == MessageType::batchProgress && onProgress) {
+      BatchProgress progress;
+      if (!decode(reply, decodeBatchProgress, progress,
+                  "malformed progress frame"))
+        return false;
+      onProgress(progress);
       continue;
     }
-    if (type != expected) {
-      disconnect();
-      return fail(ErrorKind::protocol,
-                  "unexpected reply type " +
-                      std::to_string(static_cast<unsigned>(type)));
-    }
-    return true;
+    disconnect();
+    return fail(ErrorKind::protocol,
+                "unexpected reply type " +
+                    std::to_string(static_cast<unsigned>(type)));
+  }
+}
+
+bool Client::backoff(std::size_t retry, std::uint32_t busyMillis) {
+  if (retry >= busy_retries_)
+    return fail(ErrorKind::busy, "daemon at capacity (gave up after " +
+                                     std::to_string(busy_retries_) +
+                                     " retries)");
+  std::this_thread::sleep_for(std::chrono::milliseconds(busyMillis));
+  return true;
+}
+
+bool Client::roundTrip(const std::string &request, MessageType expected,
+                       std::string &reply, const ProgressFn &onProgress) {
+  for (std::size_t retry = 0;; ++retry) {
+    std::uint32_t busyMillis = 0;
+    if (!send(request) || !receive(expected, onProgress, reply, busyMillis))
+      return false;
+    if (busyMillis == 0)
+      return true;
+    if (!backoff(retry, busyMillis))
+      return false;
   }
 }
 
@@ -156,46 +188,32 @@ bool Client::decodeOutcome(const AnalyzeReply &wire, ClientOutcome &outcome) {
 bool Client::analyze(const std::string &name, const std::string &source,
                      const core::MiraOptions &options,
                      ClientOutcome &outcome) {
-  SourceItem item{name, source};
   std::string reply;
-  if (!roundTrip(encodeAnalyzeRequest(item, packOptions(options)),
-                 MessageType::analyzeReply, reply))
-    return false;
-  bio::Reader r{reply, 0};
   AnalyzeReply wire;
-  if (!decodeAnalyzeReply(r, wire)) {
-    disconnect();
-    return fail(ErrorKind::protocol, "malformed analyze reply");
-  }
-  return decodeOutcome(wire, outcome);
+  return roundTrip(encodeAnalyzeRequest({name, source}, packOptions(options)),
+                   MessageType::analyzeReply, reply) &&
+         decode(reply, decodeAnalyzeReply, wire, "malformed analyze reply") &&
+         decodeOutcome(wire, outcome);
 }
 
 bool Client::analyzeBatch(const std::vector<SourceItem> &items,
                           const core::MiraOptions &options,
                           std::vector<ClientOutcome> &outcomes) {
   std::string reply;
-  if (!roundTrip(encodeBatchRequest(items, packOptions(options)),
-                 MessageType::batchReply, reply))
-    return false;
-  bio::Reader r{reply, 0};
   std::vector<AnalyzeReply> wires;
-  if (!decodeBatchReply(r, wires)) {
-    disconnect();
-    return fail(ErrorKind::protocol, "malformed batch reply");
-  }
+  if (!roundTrip(encodeBatchRequest(items, packOptions(options)),
+                 MessageType::batchReply, reply) ||
+      !decode(reply, decodeBatchReply, wires, "malformed batch reply"))
+    return false;
   if (wires.size() != items.size())
     return fail(ErrorKind::protocol, "batch reply count mismatch");
   // Decode into a local vector so a mid-loop failure leaves the
   // caller's outcomes untouched (the documented all-or-nothing
   // contract).
-  std::vector<ClientOutcome> decoded;
-  decoded.reserve(wires.size());
-  for (const AnalyzeReply &wire : wires) {
-    ClientOutcome outcome;
-    if (!decodeOutcome(wire, outcome))
+  std::vector<ClientOutcome> decoded(wires.size());
+  for (std::size_t i = 0; i < wires.size(); ++i)
+    if (!decodeOutcome(wires[i], decoded[i]))
       return false;
-    decoded.push_back(std::move(outcome));
-  }
   outcomes = std::move(decoded);
   return true;
 }
@@ -203,70 +221,50 @@ bool Client::analyzeBatch(const std::vector<SourceItem> &items,
 bool Client::analyzePipelined(const std::vector<SourceItem> &items,
                               const core::MiraOptions &options,
                               std::vector<ClientOutcome> &outcomes) {
+  // send() checks this too, but an empty list never reaches it.
   if (!socket_.valid())
     return fail(ErrorKind::connect, "not connected");
+  const std::uint8_t flags = packOptions(options);
   std::vector<ClientOutcome> decoded(items.size());
   std::vector<std::size_t> pending(items.size());
   for (std::size_t i = 0; i < items.size(); ++i)
     pending[i] = i;
-  std::uint32_t retryHintMillis = 0;
 
   for (std::size_t round = 0; !pending.empty(); ++round) {
-    if (round > 0) {
-      if (round > busy_retries_)
-        return fail(ErrorKind::busy, "daemon at capacity (gave up after " +
-                    std::to_string(busy_retries_) + " retries)");
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          retryHintMillis ? retryHintMillis : 10));
-    }
     // Write every outstanding request up front, then read the replies
     // back: the daemon answers strictly in request order, so the i-th
-    // reply frame belongs to the i-th frame of this round.
-    for (std::size_t idx : pending) {
-      const std::string request =
-          encodeAnalyzeRequest(items[idx], packOptions(options));
-      if (request.size() > kMaxFrameBytes)
-        return fail(ErrorKind::protocol, "request of " + std::to_string(request.size()) +
-                    " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
-                    "-byte frame cap; split the request");
-      if (!net::writeFrame(socket_.fd(), request)) {
-        disconnect();
-        return fail(ErrorKind::transport, "send failed (daemon gone?)");
+    // reply frame belongs to the i-th frame of this round. A failure
+    // after the round's first frame leaves replies owed that nobody
+    // will read, so the session ends with it.
+    for (std::size_t i = 0; i < pending.size(); ++i)
+      if (!send(encodeAnalyzeRequest(items[pending[i]], flags))) {
+        if (i > 0)
+          disconnect();
+        return false;
       }
-    }
     std::vector<std::size_t> refused;
+    std::uint32_t retryMillis = 0;
     for (std::size_t idx : pending) {
       std::string reply;
-      MessageType type{};
-      if (!receiveReply(type, reply))
+      std::uint32_t busyMillis = 0;
+      if (!receive(MessageType::analyzeReply, nullptr, reply, busyMillis))
         return false;
-      if (type == MessageType::busyReply) {
-        // Refused without queueing; the connection stays open and the
-        // item goes into the next round.
-        bio::Reader r{reply, 0};
-        BusyReply busy;
-        if (!decodeBusyReply(r, busy)) {
-          disconnect();
-          return fail(ErrorKind::protocol, "malformed busy reply");
-        }
-        retryHintMillis = busy.retryAfterMillis;
+      if (busyMillis != 0) {
+        // Refused items go into the next round; accepted ones are kept.
+        retryMillis = busyMillis;
         refused.push_back(idx);
         continue;
       }
-      if (type != MessageType::analyzeReply) {
-        disconnect();
-        return fail(ErrorKind::protocol, "unexpected reply type " +
-                    std::to_string(static_cast<unsigned>(type)));
-      }
-      bio::Reader r{reply, 0};
       AnalyzeReply wire;
-      if (!decodeAnalyzeReply(r, wire)) {
-        disconnect();
-        return fail(ErrorKind::protocol, "malformed analyze reply");
-      }
-      if (!decodeOutcome(wire, decoded[idx]))
+      if (!decode(reply, decodeAnalyzeReply, wire, "malformed analyze reply"))
         return false;
+      if (!decodeOutcome(wire, decoded[idx])) {
+        disconnect();
+        return false;
+      }
     }
+    if (!refused.empty() && !backoff(round, retryMillis))
+      return false;
     pending = std::move(refused);
   }
   outcomes = std::move(decoded);
@@ -276,48 +274,31 @@ bool Client::analyzePipelined(const std::vector<SourceItem> &items,
 bool Client::coverage(const std::string &name, const std::string &source,
                       const core::MiraOptions &options,
                       CoverageReply &reply) {
-  SourceItem item{name, source};
   std::string wire;
-  if (!roundTrip(encodeCoverageRequest(item, packOptions(options)),
-                 MessageType::coverageReply, wire))
-    return false;
-  bio::Reader r{wire, 0};
-  if (!decodeCoverageReply(r, reply)) {
-    disconnect();
-    return fail(ErrorKind::protocol, "malformed coverage reply");
-  }
-  return true;
+  return roundTrip(encodeCoverageRequest({name, source}, packOptions(options)),
+                   MessageType::coverageReply, wire) &&
+         decode(wire, decodeCoverageReply, reply, "malformed coverage reply");
 }
 
 bool Client::simulate(const std::string &name, const std::string &source,
                       const core::MiraOptions &options,
                       const core::SimulationArgs &sim, SimulateReply &reply) {
-  SourceItem item{name, source};
   std::string wire;
-  if (!roundTrip(encodeSimulateRequest(item, packOptions(options), sim),
-                 MessageType::simulateReply, wire))
-    return false;
-  bio::Reader r{wire, 0};
-  if (!decodeSimulateReply(r, reply)) {
-    disconnect();
-    return fail(ErrorKind::protocol, "malformed simulate reply");
-  }
-  return true;
+  return roundTrip(
+             encodeSimulateRequest({name, source}, packOptions(options), sim),
+             MessageType::simulateReply, wire) &&
+         decode(wire, decodeSimulateReply, reply, "malformed simulate reply");
 }
 
 bool Client::manifestDiff(const std::string &oldManifestBytes,
                           const std::string &newManifestBytes,
                           ManifestDiffReply &reply) {
   std::string wire;
-  if (!roundTrip(encodeManifestDiffRequest(oldManifestBytes, newManifestBytes),
-                 MessageType::manifestDiffReply, wire))
-    return false;
-  bio::Reader r{wire, 0};
-  if (!decodeManifestDiffReply(r, reply)) {
-    disconnect();
-    return fail(ErrorKind::protocol, "malformed manifest-diff reply");
-  }
-  return true;
+  return roundTrip(
+             encodeManifestDiffRequest(oldManifestBytes, newManifestBytes),
+             MessageType::manifestDiffReply, wire) &&
+         decode(wire, decodeManifestDiffReply, reply,
+                "malformed manifest-diff reply");
 }
 
 bool Client::manifestBatch(const std::string &manifestBytes,
@@ -327,8 +308,6 @@ bool Client::manifestBatch(const std::string &manifestBytes,
                            const core::MiraOptions &options,
                            const ProgressFn &onProgress,
                            std::string &reportBytes) {
-  if (!socket_.valid())
-    return fail(ErrorKind::connect, "not connected");
   ManifestBatchRequest request;
   request.flags = packOptions(options);
   request.progress = onProgress != nullptr;
@@ -337,98 +316,30 @@ bool Client::manifestBatch(const std::string &manifestBytes,
   request.root = root;
   request.manifestBytes = manifestBytes;
   request.sinceBytes = sinceBytes;
-  const std::string wire = encodeManifestBatchRequest(request);
-  if (wire.size() > kMaxFrameBytes)
-    return fail(ErrorKind::protocol,
-                "request of " + std::to_string(wire.size()) +
-                    " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
-                    "-byte frame cap; split the request");
-  // Not roundTrip: the final reply may be preceded by any number of
-  // batchProgress frames, the second reply type (after Busy) that does
-  // not end the conversation.
-  for (std::size_t attempt = 0;; ++attempt) {
-    if (!net::writeFrame(socket_.fd(), wire)) {
-      disconnect();
-      return fail(ErrorKind::transport, "send failed (daemon gone?)");
-    }
-    bool resend = false;
-    for (;;) {
-      MessageType type{};
-      std::string reply;
-      if (!receiveReply(type, reply))
-        return false;
-      if (type == MessageType::busyReply) {
-        // Refused without queueing: nothing ran, resending is safe.
-        bio::Reader r{reply, 0};
-        BusyReply busy;
-        if (!decodeBusyReply(r, busy)) {
-          disconnect();
-          return fail(ErrorKind::protocol, "malformed busy reply");
-        }
-        if (attempt >= busy_retries_)
-          return fail(ErrorKind::busy,
-                      "daemon at capacity (gave up after " +
-                          std::to_string(busy_retries_) + " retries)");
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            busy.retryAfterMillis ? busy.retryAfterMillis : 10));
-        resend = true;
-        break;
-      }
-      if (type == MessageType::batchProgress) {
-        bio::Reader r{reply, 0};
-        BatchProgress progress;
-        if (!decodeBatchProgress(r, progress)) {
-          disconnect();
-          return fail(ErrorKind::protocol, "malformed progress frame");
-        }
-        if (onProgress)
-          onProgress(progress);
-        continue;
-      }
-      if (type != MessageType::manifestBatchReply) {
-        disconnect();
-        return fail(ErrorKind::protocol,
-                    "unexpected reply type " +
-                        std::to_string(static_cast<unsigned>(type)));
-      }
-      bio::Reader r{reply, 0};
-      ManifestBatchReply decoded;
-      if (!decodeManifestBatchReply(r, decoded)) {
-        disconnect();
-        return fail(ErrorKind::protocol, "malformed manifest-batch reply");
-      }
-      reportBytes = std::move(decoded.reportBytes);
-      return true;
-    }
-    if (!resend)
-      return false; // unreachable; inner loop always returns or resends
-  }
+  std::string wire;
+  ManifestBatchReply reply;
+  if (!roundTrip(encodeManifestBatchRequest(request),
+                 MessageType::manifestBatchReply, wire, onProgress) ||
+      !decode(wire, decodeManifestBatchReply, reply,
+              "malformed manifest-batch reply"))
+    return false;
+  reportBytes = std::move(reply.reportBytes);
+  return true;
 }
 
 bool Client::cacheStats(ServerStats &stats) {
   std::string reply;
-  if (!roundTrip(encodeEmptyMessage(MessageType::cacheStats),
-                 MessageType::cacheStatsReply, reply))
-    return false;
-  bio::Reader r{reply, 0};
-  if (!decodeCacheStatsReply(r, stats)) {
-    disconnect();
-    return fail(ErrorKind::protocol, "malformed cache-stats reply");
-  }
-  return true;
+  return roundTrip(encodeEmptyMessage(MessageType::cacheStats),
+                   MessageType::cacheStatsReply, reply) &&
+         decode(reply, decodeCacheStatsReply, stats,
+                "malformed cache-stats reply");
 }
 
 bool Client::metrics(std::vector<MetricSample> &samples) {
   std::string reply;
-  if (!roundTrip(encodeEmptyMessage(MessageType::metrics),
-                 MessageType::metricsReply, reply))
-    return false;
-  bio::Reader r{reply, 0};
-  if (!decodeMetricsReply(r, samples)) {
-    disconnect();
-    return fail(ErrorKind::protocol, "malformed metrics reply");
-  }
-  return true;
+  return roundTrip(encodeEmptyMessage(MessageType::metrics),
+                   MessageType::metricsReply, reply) &&
+         decode(reply, decodeMetricsReply, samples, "malformed metrics reply");
 }
 
 bool Client::shutdownServer() {

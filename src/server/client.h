@@ -153,8 +153,9 @@ public:
   /// the same manifest, options, and cache. `root` overrides the
   /// manifest's recorded source root; empty keeps it. With `onProgress`
   /// set the request asks for streaming progress frames and invokes the
-  /// callback as they arrive. A Busy refusal is retried like every
-  /// other request (the daemon has not started the batch).
+  /// callback as they arrive; without it a progress frame is a protocol
+  /// error. A Busy refusal is retried like every other request (the
+  /// daemon has not started the batch).
   bool manifestBatch(const std::string &manifestBytes,
                      const std::string &sinceBytes, const std::string &root,
                      const driver::ShardSpec &shard,
@@ -182,15 +183,31 @@ public:
   ErrorKind lastErrorKind() const { return kind_; }
 
 private:
-  /// Send `request`, receive one reply frame, validate its header and
-  /// check for Error replies. A Busy refusal is retried up to
-  /// busyRetries() times after sleeping for the daemon's hint. On
-  /// success `reply` holds the body of a reply of type `expected`.
+  /// One request/reply exchange: send(), then receive() until a reply
+  /// of type `expected` arrives; a Busy refusal resends after
+  /// backoff(). `onProgress`, when set, takes batchProgress frames
+  /// ahead of the reply. On success `reply` holds the reply's body.
   bool roundTrip(const std::string &request, MessageType expected,
-                 std::string &reply);
-  /// Receive one reply frame, validate the header, surface Error
-  /// replies as failures; `reply` is left holding the body only.
-  bool receiveReply(MessageType &type, std::string &reply);
+                 std::string &reply, const ProgressFn &onProgress = nullptr);
+  /// Write one request frame: fails when not connected, refuses an
+  /// over-cap request before anything reaches the wire.
+  bool send(const std::string &request);
+  /// Read one reply and sort it. The `expected` type leaves its body in
+  /// `reply`; Busy succeeds with `busyMillis` set to the wait before a
+  /// resend (the daemon's hint, 10 ms when the hint is 0; 0 for any
+  /// other reply); batchProgress goes to `onProgress` when one is set
+  /// and the next frame is read. Error replies, transport failures and
+  /// any other type fail and close the connection.
+  bool receive(MessageType expected, const ProgressFn &onProgress,
+               std::string &reply, std::uint32_t &busyMillis);
+  /// Spend Busy retry number `retry` (0-based): fail with
+  /// ErrorKind::busy once busyRetries() are used up, else sleep.
+  bool backoff(std::size_t retry, std::uint32_t busyMillis);
+  /// Decode a reply body with `decoder`; on failure close the
+  /// connection and record a protocol error reading `malformed`.
+  template <typename Body>
+  bool decode(const std::string &bytes, bool (*decoder)(bio::Reader &, Body &),
+              Body &body, const char *malformed);
   bool decodeOutcome(const AnalyzeReply &wire, ClientOutcome &outcome);
   bool fail(ErrorKind kind, const std::string &message);
   /// Shared tail of connect()/connectTcp(): arm the read timeout and

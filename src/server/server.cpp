@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -866,16 +865,8 @@ std::string AnalysisServer::renderMetricsText() const {
 void AnalysisServer::writeMetricsFile() const {
   if (options_.metricsFile.empty())
     return;
-  const std::string tmp = options_.metricsFile + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out)
-      return;
-    out << renderMetricsText();
-    if (!out)
-      return;
-  }
-  ::rename(tmp.c_str(), options_.metricsFile.c_str());
+  refreshGauges();
+  metrics_.writeTextFile(options_.metricsFile);
 }
 
 ServerStats AnalysisServer::snapshotStats() const {

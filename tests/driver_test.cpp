@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <fstream>
 #include <optional>
 #include <set>
 #include <sstream>
+
+#include <unistd.h>
 
 #include "driver/batch.h"
 #include "model/python_emitter.h"
@@ -369,6 +373,34 @@ TEST(BatchAnalyzerTest, PublishesInternCountersAfterABatch) {
   EXPECT_GT(*hits, 0u);
   EXPECT_GT(*misses, 0u);
   EXPECT_TRUE(sampleValue(text, "mira_intern_nodes").has_value()) << text;
+}
+
+TEST(MetricsRegistryTest, WriteTextFileReplacesTheWholeFile) {
+  // The daemon's and the coordinator's --metrics-file dumps both go
+  // through this writer: the rendered text lands whole (temp file, then
+  // rename) and no temp file is left behind.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("mira_driver_test_metrics_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "metrics.prom").string();
+  {
+    std::ofstream stale(path);
+    stale << "stale contents that are longer than the new dump\n";
+  }
+  core::MetricsRegistry registry;
+  registry.counter("requests_total").add(3);
+  registry.gauge("workers").set(2);
+  ASSERT_TRUE(registry.writeTextFile(path));
+  std::ifstream in(path, std::ios::binary);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(written, registry.renderText());
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  // An unwritable location reports failure instead of throwing.
+  EXPECT_FALSE(registry.writeTextFile((dir / "missing" / "m.prom").string()));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(BatchAnalyzerTest, DifferentOptionsDoNotShareCacheEntries) {

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -1286,6 +1287,204 @@ TEST(ClientCliExitContract, MidStreamEofIsExitFourWithUnifiedDiagnostic) {
   EXPECT_NE(output.find("mira-cli client: "), std::string::npos) << output;
   std::filesystem::remove(socket);
   std::filesystem::remove(log);
+}
+
+// ------------------------------------------- client reply policy
+
+/// A scripted stand-in for the daemon: accepts one connection on a
+/// fresh socket and answers the i-th request frame with the frames
+/// `script(i)` returns, until the client hangs up. It pins the client's
+/// reply policy (Busy backoff, progress frames, unexpected reply types,
+/// the frame cap) without depending on a real daemon's timing.
+class ScriptedPeer {
+public:
+  using Script = std::function<std::vector<std::string>(std::size_t)>;
+
+  explicit ScriptedPeer(Script script) {
+    static std::atomic<int> counter{0};
+    path_ = (std::filesystem::temp_directory_path() /
+             ("mira_server_test_peer_" + std::to_string(::getpid()) + "_" +
+              std::to_string(counter.fetch_add(1)) + ".sock"))
+                .string();
+    std::string error;
+    listener_ = net::listenUnix(path_, error);
+    EXPECT_TRUE(listener_.valid()) << error;
+    thread_ = std::thread([this, script = std::move(script)] {
+      net::Socket peer = net::acceptConnection(listener_);
+      std::string request;
+      while (peer.valid() &&
+             net::readFrame(peer.fd(), request, kMaxFrameBytes) ==
+                 net::FrameStatus::ok)
+        for (const std::string &reply : script(frames_++))
+          net::writeFrame(peer.fd(), reply);
+    });
+  }
+
+  ScriptedPeer(const ScriptedPeer &) = delete;
+  ScriptedPeer &operator=(const ScriptedPeer &) = delete;
+
+  ~ScriptedPeer() {
+    if (thread_.joinable()) {
+      // Unblock an accept() no client ever reached.
+      std::string error;
+      net::connectUnix(path_, error);
+      thread_.join();
+    }
+    std::filesystem::remove(path_);
+  }
+
+  const std::string &path() const { return path_; }
+
+  /// Wait for the client to hang up; the number of request frames the
+  /// peer read.
+  std::size_t framesAfterHangUp() {
+    thread_.join();
+    return frames_;
+  }
+
+private:
+  std::string path_;
+  net::Socket listener_;
+  std::size_t frames_ = 0; ///< written by the thread; read after join
+  std::thread thread_;
+};
+
+std::vector<std::string> alwaysBusy(std::size_t) {
+  return {encodeBusyReply(BusyReply{1})};
+}
+
+TEST(ClientReplyPolicy, AnalyzeGivesUpAfterTheConfiguredBusyRetries) {
+  ScriptedPeer peer(alwaysBusy);
+  Client client;
+  client.setBusyRetries(2);
+  ASSERT_TRUE(client.connect(peer.path())) << client.lastError();
+  ClientOutcome outcome;
+  EXPECT_FALSE(client.analyze("a.mc", "int f() { return 0; }",
+                              core::MiraOptions{}, outcome));
+  EXPECT_EQ(client.lastErrorKind(), Client::ErrorKind::busy);
+  EXPECT_EQ(client.lastError(), "daemon at capacity (gave up after 2 retries)");
+  // Busy leaves the connection open; the first send plus two retries.
+  EXPECT_TRUE(client.connected());
+  client.disconnect();
+  EXPECT_EQ(peer.framesAfterHangUp(), 3u);
+}
+
+TEST(ClientReplyPolicy, PipelinedGivesUpAfterTheConfiguredBusyRetries) {
+  ScriptedPeer peer(alwaysBusy);
+  Client client;
+  client.setBusyRetries(2);
+  ASSERT_TRUE(client.connect(peer.path())) << client.lastError();
+  std::vector<ClientOutcome> outcomes;
+  EXPECT_FALSE(client.analyzePipelined({{"a.mc", "int f() { return 0; }"}},
+                                       core::MiraOptions{}, outcomes));
+  EXPECT_EQ(client.lastErrorKind(), Client::ErrorKind::busy);
+  EXPECT_EQ(client.lastError(), "daemon at capacity (gave up after 2 retries)");
+  EXPECT_TRUE(outcomes.empty());
+  client.disconnect();
+  EXPECT_EQ(peer.framesAfterHangUp(), 3u);
+}
+
+TEST(ClientReplyPolicy, ManifestBatchResendsAfterBusyAndStreamsProgress) {
+  ScriptedPeer peer([](std::size_t frame) -> std::vector<std::string> {
+    if (frame == 0)
+      return {encodeBusyReply(BusyReply{1})};
+    return {encodeBatchProgress(BatchProgress{1, 2, 0, 0}),
+            encodeBatchProgress(BatchProgress{2, 2, 0, 1}),
+            encodeManifestBatchReply(ManifestBatchReply{"report bytes"})};
+  });
+  Client client;
+  client.setBusyRetries(2);
+  ASSERT_TRUE(client.connect(peer.path())) << client.lastError();
+  std::vector<BatchProgress> progress;
+  std::string report;
+  EXPECT_TRUE(client.manifestBatch(
+      "manifest", "", "", driver::ShardSpec{}, core::MiraOptions{},
+      [&](const BatchProgress &p) { progress.push_back(p); }, report))
+      << client.lastError();
+  EXPECT_EQ(report, "report bytes");
+  ASSERT_EQ(progress.size(), 2u);
+  EXPECT_EQ(progress[0].done, 1u);
+  EXPECT_EQ(progress[1].done, 2u);
+  EXPECT_EQ(progress[1].cacheHits, 1u);
+  client.disconnect();
+  EXPECT_EQ(peer.framesAfterHangUp(), 2u);
+}
+
+TEST(ClientReplyPolicy, ProgressFrameOutsideAManifestBatchIsAProtocolError) {
+  ScriptedPeer peer([](std::size_t) -> std::vector<std::string> {
+    return {encodeBatchProgress(BatchProgress{1, 1, 0, 0})};
+  });
+  Client client;
+  ASSERT_TRUE(client.connect(peer.path())) << client.lastError();
+  ClientOutcome outcome;
+  EXPECT_FALSE(client.analyze("a.mc", "int f() { return 0; }",
+                              core::MiraOptions{}, outcome));
+  EXPECT_EQ(client.lastErrorKind(), Client::ErrorKind::protocol);
+  EXPECT_EQ(client.lastError(), "unexpected reply type 112");
+  EXPECT_FALSE(client.connected());
+  client.disconnect();
+  EXPECT_EQ(peer.framesAfterHangUp(), 1u);
+}
+
+TEST(ClientReplyPolicy, OverCapRequestIsRefusedBeforeAnythingIsSent) {
+  ScriptedPeer peer([](std::size_t) -> std::vector<std::string> {
+    return {encodeEmptyMessage(MessageType::pong)};
+  });
+  Client client;
+  ASSERT_TRUE(client.connect(peer.path())) << client.lastError();
+  ClientOutcome outcome;
+  EXPECT_FALSE(client.analyze("big.mc", std::string(kMaxFrameBytes, ' '),
+                              core::MiraOptions{}, outcome));
+  EXPECT_EQ(client.lastErrorKind(), Client::ErrorKind::protocol);
+  EXPECT_NE(client.lastError().find("frame cap; split the request"),
+            std::string::npos)
+      << client.lastError();
+  // Nothing reached the wire, so the session is still usable.
+  EXPECT_TRUE(client.connected());
+  client.disconnect();
+  EXPECT_EQ(peer.framesAfterHangUp(), 0u);
+}
+
+// A pipelined round that fails after writing frames leaves replies owed
+// on the wire; reusing the session would read them as answers to later
+// requests, so the client must close it.
+TEST(ClientReplyPolicy, PipelinedOverCapItemMidRoundEndsTheSession) {
+  ScriptedPeer peer([](std::size_t) -> std::vector<std::string> {
+    return {encodeAnalyzeReply(AnalyzeReply{})};
+  });
+  Client client;
+  ASSERT_TRUE(client.connect(peer.path())) << client.lastError();
+  std::vector<ClientOutcome> outcomes;
+  EXPECT_FALSE(client.analyzePipelined(
+      {{"a.mc", "int f() { return 0; }"},
+       {"big.mc", std::string(kMaxFrameBytes, ' ')}},
+      core::MiraOptions{}, outcomes));
+  EXPECT_EQ(client.lastErrorKind(), Client::ErrorKind::protocol);
+  EXPECT_NE(client.lastError().find("frame cap; split the request"),
+            std::string::npos)
+      << client.lastError();
+  EXPECT_FALSE(client.connected());
+  client.disconnect(); // keeps a regression from hanging the join below
+  EXPECT_EQ(peer.framesAfterHangUp(), 1u);
+}
+
+TEST(ClientReplyPolicy, PipelinedMalformedPayloadEndsTheSession) {
+  ScriptedPeer peer([](std::size_t) -> std::vector<std::string> {
+    AnalyzeReply reply;
+    reply.payload = "not a payload";
+    return {encodeAnalyzeReply(reply)};
+  });
+  Client client;
+  ASSERT_TRUE(client.connect(peer.path())) << client.lastError();
+  std::vector<ClientOutcome> outcomes;
+  EXPECT_FALSE(client.analyzePipelined({{"a.mc", "int f() { return 0; }"},
+                                        {"b.mc", "int g() { return 1; }"}},
+                                       core::MiraOptions{}, outcomes));
+  EXPECT_EQ(client.lastErrorKind(), Client::ErrorKind::protocol);
+  EXPECT_EQ(client.lastError(), "malformed result payload in reply");
+  EXPECT_FALSE(client.connected());
+  client.disconnect();
+  EXPECT_EQ(peer.framesAfterHangUp(), 2u);
 }
 
 // ------------------------------------------ local == daemon CLI parity

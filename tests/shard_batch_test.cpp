@@ -477,6 +477,68 @@ TEST(CacheCli, StatsOnNonexistentDirectoryFailsLoudly) {
   EXPECT_FALSE(fs::exists(missing));
 }
 
+/// The raw count leading the `label : N (...)` line of `cache stats`.
+std::uint64_t statsField(const std::string &output, const std::string &label) {
+  const std::size_t at = output.find("\n" + label + " ");
+  EXPECT_NE(at, std::string::npos) << label << "\n" << output;
+  if (at == std::string::npos)
+    return 0;
+  const std::size_t colon = output.find(':', at);
+  return std::strtoull(output.c_str() + colon + 1, nullptr, 10);
+}
+
+TEST(CacheCli, StatsBreakdownAccountsForEveryPayloadByte) {
+  // Each of three kernels leaves one ok entry. The per-artifact columns
+  // split every payload into its schema-v2 sections (docs/CACHING.md,
+  // "Entry format"): a 25-byte coverage section per ok entry, and model
+  // + coverage + diagnostics bytes make up all of the payload except
+  // each entry's fixed head (ok byte, producer name, two length
+  // prefixes).
+  TempDir dir("statsbreakdown");
+  const fs::path corpus = dir.path / "corpus";
+  const fs::path cache = dir.path / "cache";
+  writeCorpus(corpus, 3);
+  std::vector<std::string> batch = {"batch"};
+  for (int i = 0; i < 3; ++i)
+    batch.push_back((corpus / ("kernel_0" + std::to_string(i) + ".mc"))
+                        .string());
+  batch.insert(batch.end(), {"--cache-dir", cache.string()});
+  ASSERT_EQ(runCli(batch, dir.path / "cold.log"), 0)
+      << readFile(dir.path / "cold.log");
+  ASSERT_EQ(runCli(batch, dir.path / "warm.log"), 0);
+  ASSERT_NE(readFile(dir.path / "warm.log").find("disk cache: 3 hit / 0 miss"),
+            std::string::npos);
+
+  const fs::path log = dir.path / "stats.log";
+  ASSERT_EQ(runCli({"cache", "stats", "--cache-dir", cache.string()}, log), 0);
+  const std::string output = readFile(log);
+  EXPECT_NE(output.find("readable entries  : 3 (0 cached failures)"),
+            std::string::npos)
+      << output;
+  EXPECT_EQ(statsField(output, "coverage bytes"), 3u * 25u);
+
+  CacheStore store(cache.string());
+  std::uint64_t payloadBytes = 0, headBytes = 0;
+  for (std::uint64_t key : store.keys()) {
+    std::uint32_t version = 0;
+    const auto payload = store.peek(key, version);
+    ASSERT_TRUE(payload.has_value());
+    std::shared_ptr<const core::AnalysisResult> analysis;
+    std::optional<sema::LoopCoverage> coverage;
+    std::string diagnostics, producer;
+    ASSERT_TRUE(driver::deserializeArtifactPayload(*payload, analysis,
+                                                   coverage, diagnostics,
+                                                   producer));
+    payloadBytes += payload->size();
+    headBytes += 1 + 4 + producer.size() + 4;
+  }
+  EXPECT_EQ(statsField(output, "model bytes") +
+                statsField(output, "coverage bytes") +
+                statsField(output, "diagnostics bytes") + headBytes,
+            payloadBytes)
+      << output;
+}
+
 TEST(CliFlags, NumericValuesAreParsedStrictly) {
   // A numeric flag whose value is empty, non-numeric, or carries
   // trailing garbage takes the usage exit (2) with one diagnostic naming
