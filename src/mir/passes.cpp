@@ -1,6 +1,7 @@
 #include "mir/passes.h"
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -30,6 +31,28 @@ bool evalICmp(MirCmp cmp, std::int64_t a, std::int64_t b) {
     return a != b;
   }
   return false;
+}
+
+// Integer folds compute what the emitted instruction computes:
+// ADD/SUB/IMUL/NEG wrap in two's complement, so they are done on
+// uint64_t (signed overflow would be undefined here).
+std::int64_t wrapAdd(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+std::int64_t wrapSub(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
+}
+std::int64_t wrapMul(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                   static_cast<std::uint64_t>(b));
+}
+
+/// IDIV faults on a zero divisor and on INT64_MIN / -1; such a division
+/// is left to run (and fail) rather than folded.
+bool divisionFolds(std::int64_t a, std::int64_t b) {
+  return b != 0 && !(a == std::numeric_limits<std::int64_t>::min() && b == -1);
 }
 
 bool evalFCmp(MirCmp cmp, double a, double b) {
@@ -94,21 +117,21 @@ std::size_t foldConstants(MirFunction &fn) {
           bool ok = true;
           switch (inst.op) {
           case MirOp::Add:
-            v = ia + ib;
+            v = wrapAdd(ia, ib);
             break;
           case MirOp::Sub:
-            v = ia - ib;
+            v = wrapSub(ia, ib);
             break;
           case MirOp::Mul:
-            v = ia * ib;
+            v = wrapMul(ia, ib);
             break;
           case MirOp::Div:
-            ok = ib != 0;
+            ok = divisionFolds(ia, ib);
             if (ok)
               v = ia / ib;
             break;
           case MirOp::Rem:
-            ok = ib != 0;
+            ok = divisionFolds(ia, ib);
             if (ok)
               v = ia % ib;
             break;
@@ -122,10 +145,16 @@ std::size_t foldConstants(MirFunction &fn) {
             v = ia ^ ib;
             break;
           case MirOp::Shl:
-            v = ia << ib;
+            // Only counts the shift instruction takes as written fold.
+            ok = ib >= 0 && ib <= 63;
+            if (ok)
+              v = static_cast<std::int64_t>(static_cast<std::uint64_t>(ia)
+                                            << ib);
             break;
           case MirOp::Shr:
-            v = ia >> ib;
+            ok = ib >= 0 && ib <= 63;
+            if (ok)
+              v = ia >> ib;
             break;
           case MirOp::IMin:
             v = std::min(ia, ib);
@@ -158,7 +187,7 @@ std::size_t foldConstants(MirFunction &fn) {
           inst.op = MirOp::ConstI;
           inst.type = MirType::I64;
           inst.dst = dst;
-          inst.imm = -ia;
+          inst.imm = wrapSub(0, ia);
           inst.line = line;
           replaced = true;
           ++rewritten;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 namespace mira::sim {
 
@@ -156,6 +157,11 @@ struct Frame {
   Counters counters;
   VReg resultDst = kNoVReg; // caller-side destination for the return value
 };
+
+std::uint64_t asUnsigned(std::int64_t v) {
+  return static_cast<std::uint64_t>(v);
+}
+std::int64_t wrapped(std::uint64_t v) { return static_cast<std::int64_t>(v); }
 
 bool cmpEval(MirCmp cmp, bool isFloat, const Value &a, const Value &b) {
   if (isFloat) {
@@ -455,33 +461,40 @@ private:
     case MirOp::Copy:
       regs[inst.dst] = regs[inst.a];
       break;
+    // ADD/SUB/IMUL/NEG wrap in two's complement and the shift count is
+    // masked to 6 bits, as on x86; IDIV faults on INT64_MIN / -1.
     case MirOp::Add:
-      regs[inst.dst].i = regs[inst.a].i + regs[inst.b].i;
+      regs[inst.dst].i = wrapped(asUnsigned(regs[inst.a].i) +
+                                 asUnsigned(regs[inst.b].i));
       break;
     case MirOp::Sub:
-      regs[inst.dst].i = regs[inst.a].i - regs[inst.b].i;
+      regs[inst.dst].i = wrapped(asUnsigned(regs[inst.a].i) -
+                                 asUnsigned(regs[inst.b].i));
       break;
     case MirOp::Mul:
-      regs[inst.dst].i = regs[inst.a].i * regs[inst.b].i;
+      regs[inst.dst].i = wrapped(asUnsigned(regs[inst.a].i) *
+                                 asUnsigned(regs[inst.b].i));
       break;
     case MirOp::Div:
-      if (regs[inst.b].i == 0) {
-        error_ = "integer division by zero at line " +
+    case MirOp::Rem: {
+      const std::int64_t a = regs[inst.a].i;
+      const std::int64_t b = regs[inst.b].i;
+      const bool div = inst.op == MirOp::Div;
+      if (b == 0) {
+        error_ = std::string(div ? "integer division" : "integer remainder") +
+                 " by zero at line " + std::to_string(inst.line);
+        return false;
+      }
+      if (b == -1 && a == std::numeric_limits<std::int64_t>::min()) {
+        error_ = "integer division overflow at line " +
                  std::to_string(inst.line);
         return false;
       }
-      regs[inst.dst].i = regs[inst.a].i / regs[inst.b].i;
+      regs[inst.dst].i = div ? a / b : a % b;
       break;
-    case MirOp::Rem:
-      if (regs[inst.b].i == 0) {
-        error_ = "integer remainder by zero at line " +
-                 std::to_string(inst.line);
-        return false;
-      }
-      regs[inst.dst].i = regs[inst.a].i % regs[inst.b].i;
-      break;
+    }
     case MirOp::Neg:
-      regs[inst.dst].i = -regs[inst.a].i;
+      regs[inst.dst].i = wrapped(0 - asUnsigned(regs[inst.a].i));
       break;
     case MirOp::IMin:
       regs[inst.dst].i = std::min(regs[inst.a].i, regs[inst.b].i);
@@ -502,10 +515,11 @@ private:
       regs[inst.dst].i = ~regs[inst.a].i;
       break;
     case MirOp::Shl:
-      regs[inst.dst].i = regs[inst.a].i << regs[inst.b].i;
+      regs[inst.dst].i =
+          wrapped(asUnsigned(regs[inst.a].i) << (regs[inst.b].i & 63));
       break;
     case MirOp::Shr:
-      regs[inst.dst].i = regs[inst.a].i >> regs[inst.b].i;
+      regs[inst.dst].i = regs[inst.a].i >> (regs[inst.b].i & 63);
       break;
     case MirOp::ICmp:
       regs[inst.dst].i =

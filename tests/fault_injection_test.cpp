@@ -516,6 +516,42 @@ TEST(FaultInjection, ShardProcessCrashLeavesPartialCacheRerunConverges) {
   expectCacheClean(cache);
 }
 
+// INT64_MIN / -1 traps in IDIV, so neither the compiler's constant
+// folder nor the simulator may evaluate it natively: the CLI analyzes
+// the source, the simulation fails with a diagnostic, and a daemon that
+// analyzes it keeps serving.
+TEST(FaultInjection, Int64MinDividedByMinusOneNeverKillsAProcess) {
+  TempDir dir("int64min");
+  const fs::path source = dir.path / "overflow.mc";
+  writeFile(source, "int f(int n) { int a = -9223372036854775807 - 1; "
+                    "int b = -1; int c = a / b; return c + n; }\n");
+  EXPECT_EQ(runCli({"analyze", source.string()}, dir.path / "analyze.log"),
+            0)
+      << readFile(dir.path / "analyze.log");
+  EXPECT_EQ(runCli({"simulate", source.string(), "--function", "f",
+                    "--no-optimize", "--sim-arg", "1"},
+                   dir.path / "simulate.log"),
+            1);
+  EXPECT_NE(readFile(dir.path / "simulate.log")
+                .find("integer division overflow at line 1"),
+            std::string::npos)
+      << readFile(dir.path / "simulate.log");
+
+  const fs::path socket = dir.path / "d.sock";
+  const pid_t daemon = startDaemon(socket, dir.path / "cache",
+                                   dir.path / "daemon.log");
+  EXPECT_EQ(runCli({"client", "analyze", source.string(), "--socket",
+                    socket.string()},
+                   dir.path / "client.log"),
+            0)
+      << readFile(dir.path / "client.log");
+  EXPECT_EQ(runCli({"client", "ping", "--socket", socket.string()},
+                   dir.path / "ping.log"),
+            0)
+      << readFile(dir.path / "ping.log");
+  stopDaemon(daemon, socket, dir.path);
+}
+
 TEST(FaultInjection, MalformedFaultSpecsAreIgnored) {
   TempDir dir("badspec");
   const fs::path corpus = dir.path / "corpus";

@@ -3,6 +3,9 @@
 // invariants.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+
 #include "codegen/codegen.h"
 #include "codegen/regalloc.h"
 #include "frontend/parser.h"
@@ -108,6 +111,73 @@ TEST(Passes, ConstantFoldingFoldsLiteralArithmetic) {
   eliminateDeadCode(*fn);
   // After folding+DCE there is no Mul left.
   EXPECT_EQ(countOps(*fn, MirOp::Mul), 0u);
+}
+
+/// `dst = a OP b` over two constants (b unused for unary ops), after
+/// foldConstants: the instruction that computes dst.
+MirInst foldOnConstants(MirOp op, std::int64_t a, std::int64_t b = 0) {
+  MirFunction fn;
+  fn.newBlock();
+  auto constant = [&](std::int64_t value) {
+    MirInst inst;
+    inst.op = MirOp::ConstI;
+    inst.dst = fn.newVReg(MirType::I64);
+    inst.imm = value;
+    fn.blocks[0].insts.push_back(inst);
+    return inst.dst;
+  };
+  MirInst inst;
+  inst.op = op;
+  inst.a = constant(a);
+  if (op != MirOp::Neg)
+    inst.b = constant(b);
+  inst.dst = fn.newVReg(MirType::I64);
+  fn.blocks[0].insts.push_back(inst);
+  foldConstants(fn);
+  return fn.blocks[0].insts.back();
+}
+
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+
+TEST(Passes, FoldingWrapsLikeTheEmittedInstructions) {
+  const std::pair<MirInst, std::int64_t> cases[] = {
+      {foldOnConstants(MirOp::Add, kMax, 1), kMin},
+      {foldOnConstants(MirOp::Sub, kMin, 1), kMax},
+      {foldOnConstants(MirOp::Mul, kMax, 2), -2},
+      {foldOnConstants(MirOp::Mul, kMin, -1), kMin},
+      {foldOnConstants(MirOp::Neg, kMin), kMin},
+      {foldOnConstants(MirOp::Div, 7, -1), -7},
+      {foldOnConstants(MirOp::Rem, -7, 2), -1},
+      {foldOnConstants(MirOp::Shl, 1, 63), kMin},
+      {foldOnConstants(MirOp::Shr, -8, 1), -4},
+  };
+  for (const auto &[inst, expected] : cases) {
+    EXPECT_EQ(inst.op, MirOp::ConstI) << inst.str();
+    EXPECT_EQ(inst.imm, expected) << inst.str();
+  }
+}
+
+TEST(Passes, FoldingLeavesFaultingAndOutOfRangeOpsToRun) {
+  const std::pair<MirInst, MirOp> cases[] = {
+      {foldOnConstants(MirOp::Div, kMin, -1), MirOp::Div},
+      {foldOnConstants(MirOp::Rem, kMin, -1), MirOp::Rem},
+      {foldOnConstants(MirOp::Div, 1, 0), MirOp::Div},
+      {foldOnConstants(MirOp::Rem, 1, 0), MirOp::Rem},
+      {foldOnConstants(MirOp::Shl, 1, 64), MirOp::Shl},
+      {foldOnConstants(MirOp::Shl, 1, -1), MirOp::Shl},
+      {foldOnConstants(MirOp::Shr, 1, 64), MirOp::Shr},
+  };
+  for (const auto &[inst, op] : cases)
+    EXPECT_EQ(inst.op, op) << inst.str();
+}
+
+TEST(Passes, Int64MinDividedByMinusOneCompiles) {
+  auto l = lower("int f(int n) { int a = -9223372036854775807 - 1; "
+                 "int b = -1; int c = a / b; return c + n; }");
+  const MirFunction *fn = l.module.find("f");
+  ASSERT_NE(fn, nullptr);
+  EXPECT_EQ(countOps(*fn, MirOp::Div), 1u);
 }
 
 TEST(Passes, DeadCodeEliminationRemovesUnusedValues) {

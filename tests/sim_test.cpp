@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+
 #include "core/compiler.h"
 #include "core/mira.h"
 
@@ -210,6 +213,45 @@ TEST(Simulator, DivisionByZeroIsAnError) {
   auto r = runFn(*p, "f", {Value::ofInt(0)});
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("division by zero"), std::string::npos);
+}
+
+TEST(Simulator, Int64MinByMinusOneIsAnOverflowError) {
+  const std::int64_t min = std::numeric_limits<std::int64_t>::min();
+  auto p = compile("int f(int a, int b) {\n"
+                   "  int q = a / b;\n"
+                   "  return q;\n"
+                   "}\n"
+                   "int g(int a, int b) {\n"
+                   "  return a % b;\n"
+                   "}");
+  auto q = runFn(*p, "f", {Value::ofInt(min), Value::ofInt(-1)});
+  EXPECT_FALSE(q.ok);
+  EXPECT_EQ(q.error, "integer division overflow at line 2");
+  auto r = runFn(*p, "g", {Value::ofInt(min), Value::ofInt(-1)});
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error, "integer division overflow at line 6");
+  auto fine = runFn(*p, "f", {Value::ofInt(min), Value::ofInt(1)});
+  ASSERT_TRUE(fine.ok) << fine.error;
+  EXPECT_EQ(fine.returnValue.i, min);
+}
+
+TEST(Simulator, IntegerArithmeticWrapsInTwosComplement) {
+  const std::int64_t min = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t max = std::numeric_limits<std::int64_t>::max();
+  auto p = compile("int add(int a, int b) { return a + b; }\n"
+                   "int sub(int a, int b) { return a - b; }\n"
+                   "int mul(int a, int b) { return a * b; }\n"
+                   "int neg(int a) { return -a; }");
+  const std::pair<SimResult, std::int64_t> cases[] = {
+      {runFn(*p, "add", {Value::ofInt(max), Value::ofInt(1)}), min},
+      {runFn(*p, "sub", {Value::ofInt(min), Value::ofInt(1)}), max},
+      {runFn(*p, "mul", {Value::ofInt(max), Value::ofInt(2)}), -2},
+      {runFn(*p, "neg", {Value::ofInt(min)}), min},
+  };
+  for (const auto &[r, expected] : cases) {
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.returnValue.i, expected);
+  }
 }
 
 TEST(Simulator, InstructionBudgetStopsRunaways) {
