@@ -58,7 +58,12 @@ class CodeGenerator {
 public:
   CodeGenerator(const MirFunction &fn,
                 const std::map<std::string, int> &functionIds)
-      : fn_(fn), functionIds_(functionIds), alloc_(allocateRegisters(fn)) {}
+      : fn_(fn), functionIds_(functionIds), alloc_(allocateRegisters(fn)),
+        useCount_(fn.vregTypes.size(), 0), blockStart_(fn.blocks.size(), 0) {
+    for (const MirBlock &block : fn.blocks)
+      for (const MirInst &inst : block.insts)
+        inst.forEachUse([this](VReg u) { ++useCount_[u]; });
+  }
 
   CodegenResult run() {
     result_.machine.name = fn_.name;
@@ -68,7 +73,7 @@ public:
 
     for (std::size_t b = 0; b < fn_.blocks.size(); ++b) {
       const MirBlock &block = fn_.blocks[b];
-      blockStart_[static_cast<std::uint32_t>(b)] =
+      blockStart_[b] =
           static_cast<std::uint32_t>(result_.machine.instructions.size());
       result_.map.expansion[b].resize(block.insts.size());
       pendingCmp_ = false;
@@ -86,9 +91,9 @@ public:
         continue; // call labels stay as function ids
       for (Operand &op : inst.operands) {
         if (op.kind == isa::OperandKind::Label) {
-          auto it = blockStart_.find(static_cast<std::uint32_t>(op.imm));
-          assert(it != blockStart_.end());
-          std::uint32_t idx = it->second;
+          assert(op.imm >= 0 &&
+                 static_cast<std::size_t>(op.imm) < blockStart_.size());
+          std::uint32_t idx = blockStart_[static_cast<std::size_t>(op.imm)];
           std::uint64_t addr =
               idx < result_.machine.instructions.size()
                   ? result_.machine.instructions[idx].address
@@ -101,10 +106,6 @@ public:
         }
       }
     }
-
-    // blockFirstInstr: blocks that emitted nothing point at the next
-    // emitted instruction (or one past the end).
-    result_.blockFirstInstr = blockStart_;
     return std::move(result_);
   }
 
@@ -256,18 +257,13 @@ private:
     if (i + 1 >= block.insts.size())
       return false;
     const MirInst &next = block.insts[i + 1];
-    if (next.op != MirOp::Branch || next.a != cmpInst.dst)
+    if (next.op != MirOp::Branch || next.a != cmpInst.dst ||
+        cmpInst.dst == kNoVReg)
       return false;
     // The flag consumer must be the only use.
-    for (const MirBlock &b : fn_.blocks)
-      for (const MirInst &inst : b.insts) {
-        if (&inst == &next)
-          continue;
-        for (VReg u : inst.uses())
-          if (u == cmpInst.dst)
-            return false;
-      }
-    return true;
+    std::uint32_t usesInBranch = 0;
+    next.forEachUse([&](VReg u) { usesInBranch += u == cmpInst.dst; });
+    return useCount_[cmpInst.dst] == usesInBranch;
   }
 
   void emitInst(const MirBlock &block, const MirInst &inst, std::size_t idx,
@@ -670,9 +666,13 @@ private:
   const MirFunction &fn_;
   const std::map<std::string, int> &functionIds_;
   AllocationResult alloc_;
+  /// Reads of each vreg across the whole function.
+  std::vector<std::uint32_t> useCount_;
   CodegenResult result_;
   std::vector<std::uint32_t> *current_ = nullptr;
-  std::map<std::uint32_t, std::uint32_t> blockStart_;
+  /// First machine instruction index of each MIR block (a block that
+  /// emits nothing maps to the next emitted instruction).
+  std::vector<std::uint32_t> blockStart_;
   bool pendingCmp_ = false;
   MirCmp pendingRel_ = MirCmp::Lt;
   std::int64_t frameSize_ = 0;

@@ -1,7 +1,7 @@
 #include "codegen/regalloc.h"
 
 #include <algorithm>
-#include <set>
+#include <iterator>
 
 namespace mira::codegen {
 
@@ -30,12 +30,24 @@ const isa::Reg kXMMPool[] = {
 };
 
 struct Interval {
-  VReg vreg = kNoVReg;
+  VReg vreg = kNoVReg; // kNoVReg: the register is never touched
   std::size_t start = 0;
   std::size_t end = 0;
   bool fp = false;
   bool crossesCall = false;
 };
+
+/// A set of physical registers, bit regIndex(r) per register.
+using RegMask = std::uint64_t;
+static_assert(static_cast<int>(isa::Reg::NONE) <= 64,
+              "every register needs a bit in RegMask");
+
+RegMask maskOf(const isa::Reg *begin, const isa::Reg *end) {
+  RegMask mask = 0;
+  for (const isa::Reg *r = begin; r != end; ++r)
+    mask |= RegMask{1} << isa::regIndex(*r);
+  return mask;
+}
 
 } // namespace
 
@@ -45,18 +57,15 @@ AllocationResult allocateRegisters(const MirFunction &fn) {
       fn.blocks.size()); // [startPos, endPos)
   std::size_t pos = 0;
   std::vector<std::size_t> callPositions;
-  std::map<VReg, Interval> intervals;
+  std::vector<Interval> intervals(fn.vregTypes.size());
 
-  auto touch = [&](VReg r, std::size_t p, bool fp) {
-    if (r == kNoVReg)
-      return;
-    auto [it, fresh] = intervals.try_emplace(r);
-    Interval &iv = it->second;
-    if (fresh) {
+  auto touch = [&](VReg r, std::size_t p) {
+    Interval &iv = intervals[r];
+    if (iv.vreg == kNoVReg) {
       iv.vreg = r;
       iv.start = p;
       iv.end = p;
-      iv.fp = fp;
+      iv.fp = isFPType(fn.typeOf(r));
     } else {
       iv.start = std::min(iv.start, p);
       iv.end = std::max(iv.end, p);
@@ -66,10 +75,9 @@ AllocationResult allocateRegisters(const MirFunction &fn) {
   for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
     blockSpan[b].first = pos;
     for (const MirInst &inst : fn.blocks[b].insts) {
-      for (VReg u : inst.uses())
-        touch(u, pos, isFPType(fn.typeOf(u)));
+      inst.forEachUse([&](VReg u) { touch(u, pos); });
       if (inst.def() != kNoVReg)
-        touch(inst.def(), pos, isFPType(fn.typeOf(inst.def())));
+        touch(inst.def(), pos);
       if (inst.op == MirOp::Call)
         callPositions.push_back(pos);
       ++pos;
@@ -78,7 +86,13 @@ AllocationResult allocateRegisters(const MirFunction &fn) {
   }
   // Parameters are live from position 0.
   for (VReg p : fn.paramRegs)
-    touch(p, 0, isFPType(fn.typeOf(p)));
+    touch(p, 0);
+
+  // Intervals of the touched registers, in vreg order.
+  std::vector<Interval> order;
+  for (const Interval &iv : intervals)
+    if (iv.vreg != kNoVReg)
+      order.push_back(iv);
 
   // Back edges: a branch from block b to block t with t <= b forms a loop
   // region [start(t), end(b)). Extend every interval touching the region
@@ -86,14 +100,15 @@ AllocationResult allocateRegisters(const MirFunction &fn) {
   // nested/overlapping regions.
   std::vector<std::pair<std::size_t, std::size_t>> regions;
   for (std::size_t b = 0; b < fn.blocks.size(); ++b)
-    for (std::uint32_t succ : fn.blocks[b].successors())
+    fn.blocks[b].forEachSuccessor([&](std::uint32_t succ) {
       if (succ <= b)
         regions.push_back({blockSpan[succ].first, blockSpan[b].second});
+    });
 
   bool changed = true;
   while (changed) {
     changed = false;
-    for (auto &[r, iv] : intervals) {
+    for (Interval &iv : order) {
       for (const auto &[lo, hi] : regions) {
         bool intersects = iv.start < hi && iv.end >= lo;
         if (intersects && (iv.start > lo || iv.end < hi - 1)) {
@@ -105,53 +120,51 @@ AllocationResult allocateRegisters(const MirFunction &fn) {
     }
   }
 
-  for (auto &[r, iv] : intervals)
+  for (Interval &iv : order)
     for (std::size_t cp : callPositions)
       if (iv.start < cp && cp < iv.end)
         iv.crossesCall = true;
 
   // Linear scan.
-  std::vector<Interval> order;
-  order.reserve(intervals.size());
-  for (auto &[r, iv] : intervals)
-    order.push_back(iv);
   std::sort(order.begin(), order.end(), [](const Interval &a,
                                            const Interval &b) {
     return a.start != b.start ? a.start < b.start : a.vreg < b.vreg;
   });
 
   AllocationResult result;
+  result.assignments.resize(fn.vregTypes.size());
   struct Active {
     std::size_t end;
     isa::Reg reg;
     bool fp;
   };
   std::vector<Active> active;
-  std::set<isa::Reg> freeGPR(std::begin(kGPRPool), std::end(kGPRPool));
-  std::set<isa::Reg> freeXMM(std::begin(kXMMPool), std::end(kXMMPool));
+  RegMask freeGPR = maskOf(std::begin(kGPRPool), std::end(kGPRPool));
+  RegMask freeXMM = maskOf(std::begin(kXMMPool), std::end(kXMMPool));
 
   for (const Interval &iv : order) {
     // Expire finished intervals.
-    for (auto it = active.begin(); it != active.end();) {
-      if (it->end < iv.start) {
-        (it->fp ? freeXMM : freeGPR).insert(it->reg);
-        it = active.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    Assignment asg;
-    std::set<isa::Reg> &pool = iv.fp ? freeXMM : freeGPR;
-    if (!iv.crossesCall && !pool.empty()) {
+    active.erase(std::remove_if(active.begin(), active.end(),
+                                [&](const Active &a) {
+                                  if (a.end >= iv.start)
+                                    return false;
+                                  (a.fp ? freeXMM : freeGPR) |=
+                                      RegMask{1} << isa::regIndex(a.reg);
+                                  return true;
+                                }),
+                 active.end());
+    Assignment &asg = result.assignments[iv.vreg];
+    RegMask &pool = iv.fp ? freeXMM : freeGPR;
+    if (!iv.crossesCall && pool != 0) {
+      // The lowest free register, as an ordered set's begin() would be.
       asg.inRegister = true;
-      asg.reg = *pool.begin();
-      pool.erase(pool.begin());
+      asg.reg = static_cast<isa::Reg>(__builtin_ctzll(pool));
+      pool &= pool - 1;
       active.push_back({iv.end, asg.reg, iv.fp});
     } else {
       asg.inRegister = false;
       asg.stackSlot = result.numStackSlots++;
     }
-    result.assignments[iv.vreg] = asg;
   }
   return result;
 }

@@ -13,7 +13,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "isa/registers.h"
@@ -28,10 +28,18 @@ struct Assignment {
 };
 
 struct AllocationResult {
-  std::map<mir::VReg, Assignment> assignments;
+  /// Indexed by vreg; a vreg no instruction touches stays unassigned
+  /// (neither in a register nor in a stack slot).
+  std::vector<Assignment> assignments;
   std::int32_t numStackSlots = 0;
 
-  const Assignment &of(mir::VReg r) const { return assignments.at(r); }
+  /// Throws std::out_of_range for an unassigned vreg.
+  const Assignment &of(mir::VReg r) const {
+    const Assignment &a = assignments.at(r);
+    if (!a.inRegister && a.stackSlot < 0)
+      throw std::out_of_range("vreg has no register assignment");
+    return a;
+  }
 };
 
 /// Allocate registers for `fn`. Registers live across calls are always

@@ -156,33 +156,7 @@ const char *toString(MirOp op) {
 
 std::vector<VReg> MirInst::uses() const {
   std::vector<VReg> out;
-  auto push = [&](VReg r) {
-    if (r != kNoVReg)
-      out.push_back(r);
-  };
-  switch (op) {
-  case MirOp::Load:
-  case MirOp::Lea:
-    push(base);
-    push(index);
-    break;
-  case MirOp::Store:
-    push(a);
-    push(base);
-    push(index);
-    break;
-  case MirOp::Call:
-    for (VReg r : args)
-      push(r);
-    break;
-  case MirOp::Alloca:
-    push(a);
-    break;
-  default:
-    push(a);
-    push(b);
-    break;
-  }
+  forEachUse([&out](VReg r) { out.push_back(r); });
   return out;
 }
 
@@ -276,17 +250,9 @@ std::string MirInst::str() const {
 }
 
 std::vector<std::uint32_t> MirBlock::successors() const {
-  const MirInst *term = terminator();
-  if (!term)
-    return {};
-  switch (term->op) {
-  case MirOp::Jump:
-    return {term->target};
-  case MirOp::Branch:
-    return {term->target, term->targetFalse};
-  default:
-    return {};
-  }
+  std::vector<std::uint32_t> out;
+  forEachSuccessor([&out](std::uint32_t s) { out.push_back(s); });
+  return out;
 }
 
 std::string MirFunction::str() const {

@@ -116,7 +116,13 @@ struct MirInst {
   bool isTerminator() const {
     return op == MirOp::Jump || op == MirOp::Branch || op == MirOp::Ret;
   }
-  /// Registers read by this instruction.
+  /// Call `f` on each register this instruction reads, in operand order:
+  /// the one statement of what an instruction reads, shared by every
+  /// pass, the register allocator and codegen. Allocation-free. On a
+  /// non-const instruction `f` gets a `VReg &` and may rewrite the use.
+  template <typename F> void forEachUse(F &&f) const { visitUses(*this, f); }
+  template <typename F> void forEachUse(F &&f) { visitUses(*this, f); }
+  /// The registers forEachUse visits, in the same order.
   std::vector<VReg> uses() const;
   /// Register written (kNoVReg if none).
   VReg def() const;
@@ -126,6 +132,37 @@ struct MirInst {
   }
 
   std::string str() const;
+
+private:
+  template <typename Inst, typename F> static void visitUses(Inst &inst, F &f) {
+    auto use = [&f](auto &r) {
+      if (r != kNoVReg)
+        f(r);
+    };
+    switch (inst.op) {
+    case MirOp::Load:
+    case MirOp::Lea:
+      use(inst.base);
+      use(inst.index);
+      break;
+    case MirOp::Store:
+      use(inst.a);
+      use(inst.base);
+      use(inst.index);
+      break;
+    case MirOp::Call:
+      for (auto &r : inst.args)
+        use(r);
+      break;
+    case MirOp::Alloca:
+      use(inst.a);
+      break;
+    default:
+      use(inst.a);
+      use(inst.b);
+      break;
+    }
+  }
 };
 
 struct MirBlock {
@@ -136,6 +173,18 @@ struct MirBlock {
     return insts.empty() || !insts.back().isTerminator() ? nullptr
                                                          : &insts.back();
   }
+  /// Call `f` on each successor block id: a Jump's target, a Branch's
+  /// taken then fall-through target.
+  template <typename F> void forEachSuccessor(F &&f) const {
+    const MirInst *term = terminator();
+    if (!term)
+      return;
+    if (term->op == MirOp::Jump || term->op == MirOp::Branch)
+      f(term->target);
+    if (term->op == MirOp::Branch)
+      f(term->targetFalse);
+  }
+  /// The ids forEachSuccessor visits, in the same order.
   std::vector<std::uint32_t> successors() const;
 };
 

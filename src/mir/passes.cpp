@@ -1,15 +1,16 @@
 #include "mir/passes.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
-#include <set>
+#include <vector>
 
 namespace mira::mir {
 
 namespace {
 
 struct ConstValue {
+  bool known = false;
   bool isFloat = false;
   std::int64_t i = 0;
   double f = 0;
@@ -77,21 +78,27 @@ bool evalFCmp(MirCmp cmp, double a, double b) {
 
 std::size_t foldConstants(MirFunction &fn) {
   std::size_t rewritten = 0;
+  // known[r]: r's constant value in the current block; `set` lists the
+  // registers given one, so a block end resets only those entries.
+  std::vector<ConstValue> known(fn.vregTypes.size());
+  std::vector<VReg> set;
+  auto constantOf = [&](VReg r) -> const ConstValue * {
+    return r != kNoVReg && known[r].known ? &known[r] : nullptr;
+  };
   for (MirBlock &block : fn.blocks) {
-    std::map<VReg, ConstValue> known;
     for (MirInst &inst : block.insts) {
       auto lookupI = [&](VReg r, std::int64_t &out) {
-        auto it = known.find(r);
-        if (it == known.end() || it->second.isFloat)
+        const ConstValue *cv = constantOf(r);
+        if (!cv || cv->isFloat)
           return false;
-        out = it->second.i;
+        out = cv->i;
         return true;
       };
       auto lookupF = [&](VReg r, double &out) {
-        auto it = known.find(r);
-        if (it == known.end() || !it->second.isFloat)
+        const ConstValue *cv = constantOf(r);
+        if (!cv || !cv->isFloat)
           return false;
-        out = it->second.f;
+        out = cv->f;
         return true;
       };
 
@@ -259,9 +266,8 @@ std::size_t foldConstants(MirFunction &fn) {
         }
         break;
       case MirOp::Copy: {
-        auto it = known.find(inst.a);
-        if (it != known.end()) {
-          ConstValue cv = it->second;
+        if (const ConstValue *source = constantOf(inst.a)) {
+          ConstValue cv = *source;
           VReg dst = inst.dst;
           MirType t = inst.type;
           std::uint32_t line = inst.line;
@@ -281,75 +287,68 @@ std::size_t foldConstants(MirFunction &fn) {
         break;
       }
 
-      // Update known-constants map.
+      // Update the known constants.
       VReg def = inst.def();
       if (def != kNoVReg) {
-        if (inst.op == MirOp::ConstI && !inst.packed) {
-          known[def] = ConstValue{false, inst.imm, 0};
-        } else if (inst.op == MirOp::ConstF && !inst.packed) {
-          known[def] = ConstValue{true, 0, inst.fimm};
-        } else {
-          known.erase(def);
-        }
+        ConstValue &cv = known[def];
+        const bool constant = (inst.op == MirOp::ConstI ||
+                               inst.op == MirOp::ConstF) &&
+                              !inst.packed;
+        if (constant && !cv.known)
+          set.push_back(def);
+        if (inst.op == MirOp::ConstI && constant)
+          cv = ConstValue{true, false, inst.imm, 0};
+        else if (constant)
+          cv = ConstValue{true, true, 0, inst.fimm};
+        else
+          cv.known = false;
       }
       (void)replaced;
     }
+    for (VReg r : set)
+      known[r].known = false;
+    set.clear();
   }
   return rewritten;
 }
 
 std::size_t propagateCopies(MirFunction &fn) {
   std::size_t rewritten = 0;
+  // alias[dst] = src for the copies live in the current block
+  // (kNoVReg: none); `live` lists the dsts set, so a block end resets
+  // only those entries.
+  std::vector<VReg> alias(fn.vregTypes.size(), kNoVReg);
+  std::vector<VReg> live;
   for (MirBlock &block : fn.blocks) {
-    std::map<VReg, VReg> alias; // dst -> src
     for (MirInst &inst : block.insts) {
-      // Rewrite uses through the alias map.
-      auto rewrite = [&](VReg &r) {
-        auto it = alias.find(r);
-        if (it != alias.end()) {
-          r = it->second;
+      inst.forEachUse([&](VReg &r) {
+        if (alias[r] != kNoVReg) {
+          r = alias[r];
           ++rewritten;
         }
-      };
-      switch (inst.op) {
-      case MirOp::Load:
-      case MirOp::Lea:
-        rewrite(inst.base);
-        if (inst.index != kNoVReg)
-          rewrite(inst.index);
-        break;
-      case MirOp::Store:
-        rewrite(inst.a);
-        rewrite(inst.base);
-        if (inst.index != kNoVReg)
-          rewrite(inst.index);
-        break;
-      case MirOp::Call:
-        for (VReg &r : inst.args)
-          rewrite(r);
-        break;
-      default:
-        if (inst.a != kNoVReg)
-          rewrite(inst.a);
-        if (inst.b != kNoVReg)
-          rewrite(inst.b);
-        break;
-      }
+      });
 
       VReg def = inst.def();
       if (def != kNoVReg) {
         // Any alias pointing at the redefined register is invalid now, as
         // is an alias FOR the redefined register.
-        for (auto it = alias.begin(); it != alias.end();) {
-          if (it->second == def || it->first == def)
-            it = alias.erase(it);
-          else
-            ++it;
-        }
-        if (inst.op == MirOp::Copy && !inst.packed && inst.a != def)
+        live.erase(std::remove_if(live.begin(), live.end(),
+                                  [&](VReg dst) {
+                                    if (dst != def && alias[dst] != def)
+                                      return false;
+                                    alias[dst] = kNoVReg;
+                                    return true;
+                                  }),
+                   live.end());
+        if (inst.op == MirOp::Copy && !inst.packed && inst.a != def) {
           alias[def] = inst.a;
+          live.push_back(def);
+        }
       }
     }
+    for (VReg dst : live)
+      alias[dst] = kNoVReg;
+    live.clear();
   }
   return rewritten;
 }
@@ -357,19 +356,20 @@ std::size_t propagateCopies(MirFunction &fn) {
 std::size_t removeUnreachableBlocks(MirFunction &fn) {
   if (fn.blocks.empty())
     return 0;
-  std::set<std::uint32_t> reachable;
+  std::vector<char> reachable(fn.blocks.size(), 0);
   std::vector<std::uint32_t> work{0};
   while (!work.empty()) {
     std::uint32_t b = work.back();
     work.pop_back();
-    if (!reachable.insert(b).second)
+    if (reachable[b])
       continue;
-    for (std::uint32_t s : fn.blocks[b].successors())
-      work.push_back(s);
+    reachable[b] = 1;
+    fn.blocks[b].forEachSuccessor(
+        [&work](std::uint32_t s) { work.push_back(s); });
   }
   std::size_t removed = 0;
   for (MirBlock &block : fn.blocks) {
-    if (!reachable.count(block.id) && !block.insts.empty()) {
+    if (!reachable[block.id] && !block.insts.empty()) {
       removed += block.insts.size();
       block.insts.clear();
     }
@@ -381,35 +381,37 @@ std::size_t eliminateDeadCode(MirFunction &fn) {
   std::size_t removedTotal = 0;
   // Registers that must be preserved regardless of use counts: loop
   // descriptor anchors (induction/limit feed the canonical loop shape).
-  std::set<VReg> pinned;
+  // Flags are char, not bool, so _GLIBCXX_ASSERTIONS bounds-checks them.
+  const std::size_t numVRegs = fn.vregTypes.size();
+  std::vector<char> pinned(numVRegs, 0);
+  auto pin = [&](VReg r) {
+    if (r != kNoVReg)
+      pinned[r] = 1;
+  };
   for (const LoopDescriptor &loop : fn.loops) {
-    pinned.insert(loop.induction);
-    pinned.insert(loop.limit);
+    pin(loop.induction);
+    pin(loop.limit);
   }
   for (VReg p : fn.paramRegs)
-    pinned.insert(p);
+    pin(p);
 
+  std::vector<char> used;
   while (true) {
-    std::set<VReg> used;
+    used.assign(numVRegs, 0);
     for (const MirBlock &block : fn.blocks)
       for (const MirInst &inst : block.insts)
-        for (VReg r : inst.uses())
-          used.insert(r);
+        inst.forEachUse([&](VReg r) { used[r] = 1; });
 
     std::size_t removed = 0;
     for (MirBlock &block : fn.blocks) {
-      std::vector<MirInst> kept;
-      kept.reserve(block.insts.size());
-      for (MirInst &inst : block.insts) {
+      auto dead = [&](const MirInst &inst) {
         VReg def = inst.def();
-        bool dead = !inst.hasSideEffects() && def != kNoVReg &&
-                    !used.count(def) && !pinned.count(def);
-        if (dead)
-          ++removed;
-        else
-          kept.push_back(std::move(inst));
-      }
-      block.insts = std::move(kept);
+        return !inst.hasSideEffects() && def != kNoVReg && !used[def] &&
+               !pinned[def];
+      };
+      auto end = std::remove_if(block.insts.begin(), block.insts.end(), dead);
+      removed += static_cast<std::size_t>(block.insts.end() - end);
+      block.insts.erase(end, block.insts.end());
     }
     removedTotal += removed;
     if (removed == 0)

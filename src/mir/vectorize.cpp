@@ -95,20 +95,21 @@ bool planLoop(const MirFunction &fn, const LoopDescriptor &loop,
     case MirOp::ConstF: {
       if (inst.type != MirType::F64 || inst.packed)
         return false;
-      for (VReg use : inst.uses()) {
+      bool eligible = true;
+      inst.forEachUse([&](VReg use) {
         if (use == loop.induction)
-          return false; // induction may appear only as an index
-        if (!blockDefs.count(use)) {
-          if (region.defs.count(use)) {
-            // Loop-carried value: only allowed as the reduction, matched
-            // below.
-            continue;
-          }
-          if (fn.typeOf(use) != MirType::F64)
-            return false;
+          eligible = false; // induction may appear only as an index
+        // A loop-carried value is only allowed as the reduction, matched
+        // below.
+        if (!eligible || blockDefs.count(use) || region.defs.count(use))
+          return;
+        if (fn.typeOf(use) != MirType::F64)
+          eligible = false;
+        else
           plan.invariantScalars.insert(use);
-        }
-      }
+      });
+      if (!eligible)
+        return false;
       plan.packedInsts.push_back(i);
       break;
     }
@@ -126,9 +127,10 @@ bool planLoop(const MirFunction &fn, const LoopDescriptor &loop,
   {
     std::set<VReg> defined;
     for (const MirInst &inst : body.insts) {
-      for (VReg use : inst.uses())
+      inst.forEachUse([&](VReg use) {
         if (!defined.count(use) && blockDefs.count(use))
           carried.insert(use);
+      });
       if (inst.def() != kNoVReg)
         defined.insert(inst.def());
     }
@@ -144,20 +146,20 @@ bool planLoop(const MirFunction &fn, const LoopDescriptor &loop,
     int addIdx = -1, copyIdx = -1;
     for (std::size_t i = 0; i < body.insts.size(); ++i) {
       const MirInst &inst = body.insts[i];
-      for (VReg use : inst.uses()) {
-        if (use != acc)
-          continue;
+      bool matched = true;
+      inst.forEachUse([&](VReg use) {
+        if (!matched || use != acc)
+          return;
         if (inst.op == MirOp::FAdd && addIdx < 0 &&
-            (inst.a == acc) != (inst.b == acc)) {
+            (inst.a == acc) != (inst.b == acc))
           addIdx = static_cast<int>(i);
-        } else if (inst.op == MirOp::Copy) {
-          return false; // acc copied elsewhere
-        } else if (addIdx >= 0 && static_cast<int>(i) != addIdx) {
-          return false; // second use
-        } else if (addIdx < 0) {
-          return false;
-        }
-      }
+        else if (inst.op == MirOp::Copy)
+          matched = false; // acc copied elsewhere
+        else if (addIdx < 0 || static_cast<int>(i) != addIdx)
+          matched = false; // a use before, or besides, the FAdd
+      });
+      if (!matched)
+        return false;
       if (inst.def() == acc) {
         if (inst.op != MirOp::Copy || copyIdx >= 0 || addIdx < 0 ||
             inst.a != body.insts[static_cast<std::size_t>(addIdx)].dst)

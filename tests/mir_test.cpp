@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "codegen/codegen.h"
 #include "codegen/regalloc.h"
@@ -45,6 +47,49 @@ std::size_t countOps(const MirFunction &fn, MirOp op) {
       if (inst.op == op)
         ++n;
   return n;
+}
+
+TEST(MirInst, ForEachUseVisitsReadsInOperandOrder) {
+  auto usesOf = [](const MirInst &inst) {
+    std::vector<VReg> out;
+    inst.forEachUse([&out](VReg r) { out.push_back(r); });
+    EXPECT_EQ(out, inst.uses());
+    return out;
+  };
+  MirInst store;
+  store.op = MirOp::Store;
+  store.a = 1;
+  store.base = 2;
+  store.index = 3;
+  store.b = 9; // not an operand of a store
+  EXPECT_EQ(usesOf(store), (std::vector<VReg>{1, 2, 3}));
+  MirInst load;
+  load.op = MirOp::Load;
+  load.dst = 4;
+  load.a = 9; // not an operand of a load
+  load.base = 2;
+  EXPECT_EQ(usesOf(load), (std::vector<VReg>{2}));
+  MirInst call;
+  call.op = MirOp::Call;
+  call.args = {5, 6, 5};
+  EXPECT_EQ(usesOf(call), (std::vector<VReg>{5, 6, 5}));
+  MirInst alloca;
+  alloca.op = MirOp::Alloca;
+  alloca.a = 7;
+  alloca.b = 9; // not an operand of an alloca
+  EXPECT_EQ(usesOf(alloca), (std::vector<VReg>{7}));
+  MirInst add;
+  add.op = MirOp::Add;
+  add.a = 8;
+  add.b = 8;
+  EXPECT_EQ(usesOf(add), (std::vector<VReg>{8, 8}));
+
+  // On a mutable instruction the visitor may rewrite each use.
+  store.forEachUse([](VReg &r) { r += 10; });
+  EXPECT_EQ(store.a, 11u);
+  EXPECT_EQ(store.base, 12u);
+  EXPECT_EQ(store.index, 13u);
+  EXPECT_EQ(store.b, 9u);
 }
 
 TEST(Lowering, CountedLoopHasCanonicalShape) {
@@ -337,6 +382,16 @@ TEST(RegAlloc, ValuesLiveAcrossCallsAreStackHomed) {
   ASSERT_NE(keep, kNoVReg);
   // 'keep' lives across the call: must be spilled (caller-clobbers-all).
   EXPECT_FALSE(alloc.of(keep).inRegister);
+}
+
+TEST(RegAlloc, UnassignedVRegsThrowOutOfRange) {
+  auto l = lower("int f(int a) { return a + 1; }", false, false);
+  MirFunction fn = *l.module.find("f");
+  const VReg untouched = fn.newVReg(MirType::I64);
+  auto alloc = codegen::allocateRegisters(fn);
+  EXPECT_NO_THROW(alloc.of(fn.paramRegs[0]));
+  EXPECT_THROW(alloc.of(untouched), std::out_of_range);
+  EXPECT_THROW(alloc.of(untouched + 1), std::out_of_range);
 }
 
 TEST(Codegen, ExpansionCoversEveryInstruction) {
