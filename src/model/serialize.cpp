@@ -1,7 +1,6 @@
 #include "model/serialize.h"
 
 #include <algorithm>
-#include <iterator>
 #include <string_view>
 #include <utility>
 
@@ -69,8 +68,9 @@ constexpr std::size_t kMaxMatchedExprs = 64;
 struct Reader : bio::Reader {
   symbolic::ExprInterner &interner;
   // Operands decoded but not yet attached to their node, shared by every
-  // level of the recursion: each node's operand vector is built at its
-  // exact size, never reserved from an encoded count.
+  // level of the recursion. A node is interned straight from its range
+  // here, so its operand vector is built only when the node is new, at
+  // its exact size, never reserved from an encoded count.
   std::vector<ExprNodeRef> pending;
   // Top-level expressions decoded so far, by their encoded bytes. The
   // encoding is self-delimiting, so input that begins with a decoded
@@ -130,13 +130,13 @@ bool Reader::exprNode(ExprNodeRef &out, std::size_t depth) {
     std::int64_t value = 0;
     if (!i64(value))
       return false;
-    out = interner.intern(kind, value, {}, {});
+    out = interner.intern(kind, value, {}, nullptr, 0);
     return true;
   }
   case ExprKind::Param:
     if (!str(name))
       return false;
-    out = interner.intern(kind, 0, std::move(name), {});
+    out = interner.intern(kind, 0, name, nullptr, 0);
     return true;
   case ExprKind::Sum:
     if (!str(name))
@@ -160,11 +160,9 @@ bool Reader::exprNode(ExprNodeRef &out, std::size_t depth) {
       return false;
     pending.push_back(std::move(child));
   }
-  const auto first = pending.begin() + static_cast<std::ptrdiff_t>(base);
-  std::vector<ExprNodeRef> operands(std::make_move_iterator(first),
-                                    std::make_move_iterator(pending.end()));
-  pending.erase(first, pending.end());
-  out = interner.intern(kind, 0, std::move(name), std::move(operands));
+  // Interned over the borrowed range: a hit copies nothing.
+  out = interner.intern(kind, 0, name, pending.data() + base, count);
+  pending.resize(base);
   return true;
 }
 

@@ -1,5 +1,6 @@
 #include "symbolic/interner.h"
 
+#include <algorithm>
 #include <atomic>
 #include <utility>
 
@@ -23,7 +24,7 @@ std::uint64_t hashCombine(std::uint64_t seed, std::uint64_t v) {
   return seed ^ (v + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2));
 }
 
-std::uint64_t hashString(const std::string &s) {
+std::uint64_t hashString(std::string_view s) {
   // FNV-1a.
   std::uint64_t h = 1469598103934665603ull;
   for (unsigned char c : s) {
@@ -36,15 +37,15 @@ std::uint64_t hashString(const std::string &s) {
 /// Shallow structural hash: operands contribute their cached hashes, so
 /// hashing a node is O(fields), not O(subtree).
 std::uint64_t hashNode(ExprKind kind, std::int64_t value,
-                       const std::string &name,
-                       const std::vector<ExprNodeRef> &operands) {
+                       std::string_view name, const ExprNodeRef *operands,
+                       std::size_t count) {
   std::uint64_t h = hashCombine(0x6d697261 /* 'mira' */,
                                 static_cast<std::uint64_t>(kind));
   h = hashCombine(h, static_cast<std::uint64_t>(value));
   h = hashCombine(h, hashString(name));
-  h = hashCombine(h, operands.size());
-  for (const ExprNodeRef &op : operands)
-    h = hashCombine(h, op->hash);
+  h = hashCombine(h, count);
+  for (std::size_t i = 0; i < count; ++i)
+    h = hashCombine(h, operands[i]->hash);
   return h;
 }
 
@@ -104,12 +105,25 @@ ExprNodeRef ExprInterner::intern(ExprKind kind, std::int64_t value,
                                  std::vector<ExprNodeRef> operands) {
   // Operands interned elsewhere (an Expr built under another scope, a
   // model restored from cache) are pulled into this table first so the
-  // shallow pointer comparison below stays sound.
+  // shallow pointer comparison in internLocked stays sound.
   for (ExprNodeRef &op : operands)
     if (op->ownerId != id_)
       op = reintern(op);
   std::lock_guard<std::mutex> lock(mutex_);
-  return internLocked(kind, value, std::move(name), std::move(operands));
+  return internLocked(kind, value, name, operands.data(), operands.size(),
+                      &name, &operands);
+}
+
+ExprNodeRef ExprInterner::intern(ExprKind kind, std::int64_t value,
+                                 std::string_view name,
+                                 const ExprNodeRef *operands,
+                                 std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i)
+    if (operands[i]->ownerId != id_)
+      return intern(kind, value, std::string(name),
+                    std::vector<ExprNodeRef>(operands, operands + count));
+  std::lock_guard<std::mutex> lock(mutex_);
+  return internLocked(kind, value, name, operands, count, nullptr, nullptr);
 }
 
 ExprNodeRef ExprInterner::reintern(const ExprNodeRef &node) {
@@ -120,38 +134,37 @@ ExprNodeRef ExprInterner::reintern(const ExprNodeRef &node) {
   for (const ExprNodeRef &op : node->operands)
     operands.push_back(reintern(op));
   std::lock_guard<std::mutex> lock(mutex_);
-  return internLocked(node->kind, node->value, node->name,
-                      std::move(operands));
+  return internLocked(node->kind, node->value, node->name, operands.data(),
+                      operands.size(), nullptr, &operands);
 }
 
 ExprNodeRef ExprInterner::internLocked(ExprKind kind, std::int64_t value,
-                                       std::string name,
-                                       std::vector<ExprNodeRef> operands) {
-  const std::uint64_t hash = hashNode(kind, value, name, operands);
+                                       std::string_view name,
+                                       const ExprNodeRef *operands,
+                                       std::size_t count,
+                                       std::string *ownedName,
+                                       std::vector<ExprNodeRef> *ownedOperands) {
+  const std::uint64_t hash = hashNode(kind, value, name, operands, count);
   std::vector<ExprNodeRef> &bucket = table_[hash];
   for (const ExprNodeRef &candidate : bucket) {
     if (candidate->kind != kind || candidate->value != value ||
-        candidate->name != name ||
-        candidate->operands.size() != operands.size())
+        candidate->name != name || candidate->operands.size() != count)
       continue;
-    bool same = true;
     // Children are canonical in this interner, so pointer comparison IS
     // structural comparison.
-    for (std::size_t i = 0; i < operands.size(); ++i) {
-      if (candidate->operands[i] != operands[i]) {
-        same = false;
-        break;
-      }
-    }
-    if (same) {
+    if (std::equal(operands, operands + count,
+                   candidate->operands.begin())) {
       gHits.fetch_add(1, std::memory_order_relaxed);
       return candidate;
     }
   }
   auto node = std::make_shared<ExprNode>(kind);
   node->value = value;
-  node->name = std::move(name);
-  node->operands = std::move(operands);
+  node->name = ownedName ? std::move(*ownedName) : std::string(name);
+  if (ownedOperands)
+    node->operands = std::move(*ownedOperands);
+  else
+    node->operands.assign(operands, operands + count);
   node->hash = hash;
   node->key = makeKey(kind, value, node->name, node->operands);
   node->ownerId = id_;

@@ -33,6 +33,8 @@
 
 #include <cstdint>
 #include <mutex>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -62,6 +64,13 @@ public:
   /// order key) on first sight.
   ExprNodeRef intern(ExprKind kind, std::int64_t value, std::string name,
                      std::vector<ExprNodeRef> operands);
+
+  /// The same over borrowed fields: `count` operands starting at
+  /// `operands`. The table is probed with the borrowed name and operand
+  /// range; they are copied into a node only on a miss, so a hit
+  /// allocates nothing (a decoder interning each node as it reads it).
+  ExprNodeRef intern(ExprKind kind, std::int64_t value, std::string_view name,
+                     const ExprNodeRef *operands, std::size_t count);
 
   /// Canonicalize a tree built under another interner bottom-up,
   /// preserving its structure byte-for-byte (Expr::fromNode, and
@@ -93,9 +102,14 @@ public:
   static InternStats globalStats();
 
 private:
+  /// The one lookup-or-insert. The fields are borrowed; on a miss the
+  /// node takes `ownedName`/`ownedOperands` when the caller has them to
+  /// give (they hold the same values), and copies otherwise.
   ExprNodeRef internLocked(ExprKind kind, std::int64_t value,
-                           std::string name,
-                           std::vector<ExprNodeRef> operands);
+                           std::string_view name,
+                           const ExprNodeRef *operands, std::size_t count,
+                           std::string *ownedName,
+                           std::vector<ExprNodeRef> *ownedOperands);
 
   mutable std::mutex mutex_;
   // Never-reused process-unique id stamped on owned nodes, so a node

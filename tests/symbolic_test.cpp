@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "symbolic/expr.h"
 #include "symbolic/interner.h"
@@ -366,6 +369,35 @@ TEST(Interner, ReinternPreservesStructureAndDedups) {
         std::shared_ptr<const ExprNode>(ExprNodeRef(), &original.node()));
     EXPECT_EQ(&restored.node(), &again.node());
   }
+}
+
+TEST(Interner, BorrowedOperandsInternToTheSameNodes) {
+  ExprInterner interner;
+  ExprInterner::Scope scope(interner);
+  const ExprNodeRef n = interner.intern(ExprKind::Param, 0, "N", {});
+  const ExprNodeRef seven = interner.intern(ExprKind::IntConst, 7, {}, {});
+  const ExprNodeRef operands[] = {n, seven};
+  const ExprNodeRef owned = interner.intern(
+      ExprKind::Mul, 0, std::string(),
+      std::vector<ExprNodeRef>(std::begin(operands), std::end(operands)));
+  const std::size_t size = interner.size();
+  // A hit over borrowed fields answers the node the by-value call made.
+  EXPECT_EQ(interner.intern(ExprKind::Mul, 0, {}, operands, 2), owned);
+  EXPECT_EQ(interner.intern(ExprKind::Param, 0, "N", nullptr, 0), n);
+  EXPECT_EQ(interner.size(), size);
+  // A miss copies the borrowed operands into the new node.
+  const ExprNodeRef sum = interner.intern(ExprKind::Add, 0, {}, operands, 2);
+  EXPECT_EQ(interner.size(), size + 1);
+  EXPECT_EQ(sum->operands, std::vector<ExprNodeRef>({n, seven}));
+  EXPECT_EQ(Expr::fromNode(sum).str(),
+            (Expr::param("N") + Expr::intConst(7)).str());
+
+  // Operands owned by another interner are pulled in first.
+  ExprInterner other;
+  const ExprNodeRef foreign[] = {
+      other.intern(ExprKind::Param, 0, "N", nullptr, 0),
+      other.intern(ExprKind::IntConst, 7, {}, nullptr, 0)};
+  EXPECT_EQ(interner.intern(ExprKind::Mul, 0, {}, foreign, 2), owned);
 }
 
 TEST(Interner, CountersAdvance) {
