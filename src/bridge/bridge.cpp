@@ -31,21 +31,6 @@ LoopBinding FunctionBridge::loopsAtLine(std::uint32_t line) const {
   return binding;
 }
 
-std::size_t FunctionBridge::bodyInstrsAtLine(const BinaryLoop &loop,
-                                             std::uint32_t line) const {
-  auto it = loop.bodyLineCounts.find(line);
-  return it == loop.bodyLineCounts.end() ? 0 : it->second;
-}
-
-std::size_t FunctionBridge::instrsOutsideLoopsAtLine(
-    std::uint32_t line) const {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < binary_->instructions.size(); ++i)
-    if (instrLoop_[i] < 0 && binary_->instructions[i].line == line)
-      ++count;
-  return count;
-}
-
 std::vector<std::uint32_t> FunctionBridge::coveredLines() const {
   std::set<std::uint32_t> lines;
   for (const auto &ai : binary_->instructions)
@@ -98,15 +83,6 @@ std::map<isa::Opcode, std::size_t> FunctionBridge::prologueOpcodes() const {
     if (instrLoop_[i] < 0 && binary_->instructions[i].line == 0)
       ++out[binary_->instructions[i].inst.opcode];
   return out;
-}
-
-bool FunctionBridge::instrInsideLoop(std::uint32_t instrIdx,
-                                     const BinaryLoop *&loop) const {
-  int li = instrLoop_[instrIdx];
-  if (li < 0)
-    return false;
-  loop = &binary_->loops[static_cast<std::size_t>(li)];
-  return true;
 }
 
 ProgramBridge::ProgramBridge(const frontend::TranslationUnit &unit,

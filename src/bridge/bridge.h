@@ -4,8 +4,8 @@
 // provides the line-number queries the metric generator uses: which
 // machine instructions a statement's lines produced, which binary loops
 // implement a source loop (one scalar loop, or a vectorized main loop
-// plus scalar remainder), and which instructions at a line live outside
-// any loop (prologue/epilogue/hoisted code).
+// plus scalar remainder), and the opcodes at a line inside a loop body or
+// outside every loop (prologue/epilogue/hoisted code).
 #pragma once
 
 #include <cstdint>
@@ -46,15 +46,6 @@ public:
   /// for-statement line), i.e. the machine loops compiled from it.
   LoopBinding loopsAtLine(std::uint32_t line) const;
 
-  /// Instruction count at `line` restricted to blocks inside `loop`
-  /// excluding its header block.
-  std::size_t bodyInstrsAtLine(const binast::BinaryLoop &loop,
-                               std::uint32_t line) const;
-
-  /// Instructions at `line` not inside any binary loop (loop prologues,
-  /// hoisted bound computation, epilogues).
-  std::size_t instrsOutsideLoopsAtLine(std::uint32_t line) const;
-
   /// All distinct lines with at least one machine instruction.
   std::vector<std::uint32_t> coveredLines() const;
 
@@ -72,9 +63,6 @@ public:
   std::map<isa::Opcode, std::size_t> prologueOpcodes() const;
 
 private:
-  bool instrInsideLoop(std::uint32_t instrIdx,
-                       const binast::BinaryLoop *&loop) const;
-
   const frontend::FunctionDecl *source_;
   const binast::AsmFunction *binary_;
   // instruction index -> enclosing innermost loop (index into
