@@ -103,14 +103,7 @@ ExprInterner::~ExprInterner() {
 ExprNodeRef ExprInterner::intern(ExprKind kind, std::int64_t value,
                                  std::string name,
                                  std::vector<ExprNodeRef> operands) {
-  // Operands interned elsewhere (an Expr built under another scope, a
-  // model restored from cache) are pulled into this table first so the
-  // shallow pointer comparison in internLocked stays sound.
-  for (ExprNodeRef &op : operands)
-    if (op->ownerId != id_)
-      op = reintern(op);
-  std::lock_guard<std::mutex> lock(mutex_);
-  return internLocked(kind, value, name, operands.data(), operands.size(),
+  return internFields(kind, value, name, operands.data(), operands.size(),
                       &name, &operands);
 }
 
@@ -118,12 +111,7 @@ ExprNodeRef ExprInterner::intern(ExprKind kind, std::int64_t value,
                                  std::string_view name,
                                  const ExprNodeRef *operands,
                                  std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i)
-    if (operands[i]->ownerId != id_)
-      return intern(kind, value, std::string(name),
-                    std::vector<ExprNodeRef>(operands, operands + count));
-  std::lock_guard<std::mutex> lock(mutex_);
-  return internLocked(kind, value, name, operands, count, nullptr, nullptr);
+  return internFields(kind, value, name, operands, count, nullptr, nullptr);
 }
 
 ExprNodeRef ExprInterner::reintern(const ExprNodeRef &node) {
@@ -133,17 +121,34 @@ ExprNodeRef ExprInterner::reintern(const ExprNodeRef &node) {
   operands.reserve(node->operands.size());
   for (const ExprNodeRef &op : node->operands)
     operands.push_back(reintern(op));
-  std::lock_guard<std::mutex> lock(mutex_);
-  return internLocked(node->kind, node->value, node->name, operands.data(),
+  return internFields(node->kind, node->value, node->name, operands.data(),
                       operands.size(), nullptr, &operands);
 }
 
-ExprNodeRef ExprInterner::internLocked(ExprKind kind, std::int64_t value,
+ExprNodeRef ExprInterner::internFields(ExprKind kind, std::int64_t value,
                                        std::string_view name,
                                        const ExprNodeRef *operands,
                                        std::size_t count,
                                        std::string *ownedName,
                                        std::vector<ExprNodeRef> *ownedOperands) {
+  // Operands interned elsewhere (an Expr built under another scope, a
+  // model restored from cache) are pulled into this table first so the
+  // shallow pointer comparison below stays sound.
+  std::vector<ExprNodeRef> local;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (operands[i]->ownerId == id_)
+      continue;
+    if (!ownedOperands) {
+      local.assign(operands, operands + count);
+      ownedOperands = &local;
+    }
+    for (ExprNodeRef &op : *ownedOperands)
+      if (op->ownerId != id_)
+        op = reintern(op);
+    operands = ownedOperands->data();
+    break;
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
   const std::uint64_t hash = hashNode(kind, value, name, operands, count);
   std::vector<ExprNodeRef> &bucket = table_[hash];
   for (const ExprNodeRef &candidate : bucket) {

@@ -102,10 +102,11 @@ public:
   static InternStats globalStats();
 
 private:
-  /// The one lookup-or-insert. The fields are borrowed; on a miss the
-  /// node takes `ownedName`/`ownedOperands` when the caller has them to
-  /// give (they hold the same values), and copies otherwise.
-  ExprNodeRef internLocked(ExprKind kind, std::int64_t value,
+  /// The one lookup-or-insert behind intern() and reintern(). The
+  /// fields are borrowed; on a miss the node takes `ownedName` and
+  /// `ownedOperands` when the caller has them to give (they hold the
+  /// same values), and copies otherwise.
+  ExprNodeRef internFields(ExprKind kind, std::int64_t value,
                            std::string_view name,
                            const ExprNodeRef *operands, std::size_t count,
                            std::string *ownedName,
