@@ -156,7 +156,8 @@ AllocationResult allocateRegisters(const MirFunction &fn) {
     Assignment &asg = result.assignments[iv.vreg];
     RegMask &pool = iv.fp ? freeXMM : freeGPR;
     if (!iv.crossesCall && pool != 0) {
-      // The lowest free register, as an ordered set's begin() would be.
+      // Lowest free register first: the choice is part of the emitted
+      // bytes, which the object digests pin.
       asg.inRegister = true;
       asg.reg = static_cast<isa::Reg>(__builtin_ctzll(pool));
       pool &= pool - 1;

@@ -152,7 +152,8 @@ std::size_t foldConstants(MirFunction &fn) {
             v = ia ^ ib;
             break;
           case MirOp::Shl:
-            // Only counts the shift instruction takes as written fold.
+            // Counts outside [0, 63] are left to run: the hardware
+            // (and the simulator) masks them to 6 bits.
             ok = ib >= 0 && ib <= 63;
             if (ok)
               v = static_cast<std::int64_t>(static_cast<std::uint64_t>(ia)
