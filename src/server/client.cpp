@@ -7,6 +7,18 @@
 
 namespace mira::server {
 
+namespace {
+
+/// Requests analyzePipelined keeps outstanding on one connection. A
+/// daemon worker writes its reply while holding the session lock that the
+/// session's reader needs before it reads the next request. A client that
+/// writes without reading can therefore fill the socket buffers both ways
+/// and stall against the daemon. With a small window the unread replies,
+/// or the unread requests, fit in the socket buffers.
+constexpr std::size_t kPipelineWindow = 16;
+
+} // namespace
+
 bool Client::fail(ErrorKind kind, const std::string &message) {
   kind_ = kind;
   error_ = message;
@@ -231,20 +243,23 @@ bool Client::analyzePipelined(const std::vector<SourceItem> &items,
     pending[i] = i;
 
   for (std::size_t round = 0; !pending.empty(); ++round) {
-    // Write every outstanding request up front, then read the replies
-    // back: the daemon answers strictly in request order, so the i-th
-    // reply frame belongs to the i-th frame of this round. A failure
-    // after the round's first frame leaves replies owed that nobody
-    // will read, so the session ends with it.
-    for (std::size_t i = 0; i < pending.size(); ++i)
-      if (!send(encodeAnalyzeRequest(items[pending[i]], flags))) {
-        if (i > 0)
-          disconnect();
-        return false;
-      }
+    // Write requests until kPipelineWindow are outstanding, then read a
+    // reply before writing the next. The daemon answers strictly in
+    // request order, so the i-th reply frame belongs to the i-th frame of
+    // this round. A failure after the round's first frame leaves replies
+    // owed that nobody will read, so the session ends with it.
     std::vector<std::size_t> refused;
     std::uint32_t retryMillis = 0;
-    for (std::size_t idx : pending) {
+    std::size_t sent = 0;
+    for (std::size_t received = 0; received < pending.size(); ++received) {
+      for (; sent < pending.size() && sent - received < kPipelineWindow;
+           ++sent)
+        if (!send(encodeAnalyzeRequest(items[pending[sent]], flags))) {
+          if (sent > 0)
+            disconnect();
+          return false;
+        }
+      const std::size_t idx = pending[received];
       std::string reply;
       std::uint32_t busyMillis = 0;
       if (!receive(MessageType::analyzeReply, nullptr, reply, busyMillis))

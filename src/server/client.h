@@ -110,9 +110,9 @@ public:
                     std::vector<ClientOutcome> &outcomes);
 
   /// Analyze many sources as individual pipelined requests on this one
-  /// connection: all frames are written up front and the replies —
-  /// which the daemon guarantees arrive in request order — are read
-  /// back in sequence. Unlike analyzeBatch the daemon treats each item
+  /// connection: up to a fixed window of frames is outstanding at once,
+  /// and the replies — which the daemon guarantees arrive in request
+  /// order — are read back in sequence. Unlike analyzeBatch the daemon treats each item
   /// as its own request, so items refused with Busy are retried in
   /// follow-up rounds (honoring the retry hint) while accepted items'
   /// results are kept. Outcomes arrive in input order; payload bytes

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -868,6 +869,73 @@ TEST(AnalysisServerTest, PipelinedRepliesArriveInOrderByteIdenticalToOneShots) {
   // The connection survived the whole exchange (Busy never closes, and
   // nothing here should have errored).
   EXPECT_TRUE(pipelined.ping()) << pipelined.lastError();
+}
+
+TEST(AnalysisServerTest, LargePipelinedRoundFinishesByteIdenticalToOneShots) {
+  // A round that wrote every request before reading any reply stalled
+  // once the unread replies filled the socket buffers: a daemon worker
+  // blocked writing while holding the session lock the reader needs, so
+  // the client's next write never finished. The call runs in a child
+  // process, so such a stall fails this test at the deadline instead of
+  // hanging it.
+  ServerOptions options;
+  options.threads = 4;
+  DaemonFixture daemon(options);
+  ASSERT_TRUE(daemon.started());
+  std::vector<SourceItem> items;
+  for (int i = 0; i < 1000; ++i)
+    items.push_back(
+        {"stream" + std::to_string(i) + ".mc", workloads::streamSource()});
+
+  // Reference and warm-up: the same items as sequential one-shots.
+  std::vector<std::string> reference;
+  {
+    Client sequential;
+    ASSERT_TRUE(sequential.connect(daemon.socketPath()))
+        << sequential.lastError();
+    for (const SourceItem &item : items) {
+      ClientOutcome outcome;
+      ASSERT_TRUE(sequential.analyze(item.name, item.source,
+                                     core::MiraOptions(), outcome))
+          << sequential.lastError();
+      ASSERT_TRUE(outcome.ok) << outcome.diagnostics;
+      reference.push_back(std::move(outcome.payload));
+    }
+  }
+
+  // The child exits 0 when every payload matches, 1 when the call
+  // fails and 2 when a payload differs.
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    Client pipelined;
+    std::vector<ClientOutcome> outcomes;
+    if (!pipelined.connect(daemon.socketPath()) ||
+        !pipelined.analyzePipelined(items, core::MiraOptions(), outcomes) ||
+        outcomes.size() != items.size())
+      ::_exit(1);
+    for (std::size_t i = 0; i < items.size(); ++i)
+      if (!outcomes[i].ok || outcomes[i].payload != reference[i])
+        ::_exit(2);
+    ::_exit(0);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  int status = 0;
+  pid_t done = 0;
+  while ((done = ::waitpid(child, &status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  if (done == 0) {
+    ::kill(child, SIGKILL);
+    ::waitpid(child, &status, 0);
+    FAIL() << "a pipelined round of " << items.size()
+           << " items did not finish within 30 s";
+  }
+  ASSERT_EQ(done, child);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "1 = the pipelined call failed, 2 = a payload differed";
 }
 
 TEST(AnalysisServerTest, BusyRefusalsAreRetriedUntilAllSucceed) {
