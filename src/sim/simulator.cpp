@@ -163,6 +163,16 @@ std::uint64_t asUnsigned(std::int64_t v) {
 }
 std::int64_t wrapped(std::uint64_t v) { return static_cast<std::int64_t>(v); }
 
+/// Float to int64 as CVTTSD2SI/CVTTSS2SI convert: truncate toward zero,
+/// and give INT64_MIN (the "integer indefinite" value) for NaN or a value
+/// outside [-2^63, 2^63), where a plain cast would be undefined.
+std::int64_t truncatedToInt64(double v) {
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (!(v >= -kTwo63 && v < kTwo63))
+    return std::numeric_limits<std::int64_t>::min();
+  return static_cast<std::int64_t>(v);
+}
+
 bool cmpEval(MirCmp cmp, bool isFloat, const Value &a, const Value &b) {
   if (isFloat) {
     switch (cmp) {
@@ -638,7 +648,7 @@ private:
       if (!fromFP && toFP)
         regs[inst.dst].f = static_cast<double>(regs[inst.a].i);
       else if (fromFP && !toFP)
-        regs[inst.dst].i = static_cast<std::int64_t>(regs[inst.a].f);
+        regs[inst.dst].i = truncatedToInt64(regs[inst.a].f);
       else if (fromFP && toFP)
         regs[inst.dst].f = inst.type == MirType::F32
                                ? static_cast<float>(regs[inst.a].f)

@@ -254,6 +254,42 @@ TEST(Simulator, IntegerArithmeticWrapsInTwosComplement) {
   }
 }
 
+TEST(Simulator, FloatToIntConvertsLikeCvttsd2si) {
+  // Truncation toward zero; NaN and values outside [-2^63, 2^63) give
+  // INT64_MIN, the value the emitted CVTTSD2SI produces.
+  const std::int64_t min = std::numeric_limits<std::int64_t>::min();
+  auto p = compile("int conv(double x) {\n"
+                   "  int r = x;\n"
+                   "  return r;\n"
+                   "}\n"
+                   "int grow(double x) {\n"
+                   "  for (int i = 0; i < 20; i++) {\n"
+                   "    x = x * 1e30;\n"
+                   "  }\n"
+                   "  int r = x;\n"
+                   "  return r;\n"
+                   "}");
+  const double two63 = 9223372036854775808.0;
+  const std::pair<double, std::int64_t> cases[] = {
+      {-3.7, -3},
+      {1e18, 1000000000000000000},
+      {-two63, min},
+      {two63, min},
+      {1e300, min},
+      {-1e300, min},
+      {std::numeric_limits<double>::infinity(), min},
+      {std::numeric_limits<double>::quiet_NaN(), min},
+  };
+  for (const auto &[input, expected] : cases) {
+    auto r = runFn(*p, "conv", {Value::ofDouble(input)});
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.returnValue.i, expected) << "input " << input;
+  }
+  auto grown = runFn(*p, "grow", {Value::ofDouble(2.0)});
+  ASSERT_TRUE(grown.ok) << grown.error;
+  EXPECT_EQ(grown.returnValue.i, min);
+}
+
 TEST(Simulator, InstructionBudgetStopsRunaways) {
   auto p = compile("int f() {\n"
                    "  int i = 0;\n"
