@@ -109,6 +109,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -338,6 +339,24 @@ bool numericFlag(const std::vector<std::string> &args, std::size_t &i,
   return true;
 }
 
+/// Consume a seconds flag whose value the command converts to a count of
+/// milliseconds held in a Millis. Besides numericFlag's checks, the value
+/// must be finite and its millisecond count must fit a Millis: a cast
+/// from `inf`, `nan` or `1e300` would be undefined. Negative values pass
+/// here and clamp to the flag's floor.
+template <typename Millis>
+bool secondsFlag(const std::vector<std::string> &args, std::size_t &i,
+                 double &seconds) {
+  if (!numericFlag(args, i, seconds))
+    return false;
+  constexpr double kMaxMillis = std::numeric_limits<Millis>::max();
+  if (std::isfinite(seconds) && seconds * 1000.0 <= kMaxMillis)
+    return true;
+  std::fprintf(stderr, "%s: invalid value '%s'\n", args[i - 1].c_str(),
+               args[i].c_str());
+  return false;
+}
+
 /// Consume recognized flags from args (in place); leave positionals.
 bool parseFlags(std::vector<std::string> &args, CommonFlags &flags) {
   std::vector<std::string> positional;
@@ -422,7 +441,7 @@ bool parseFlags(std::vector<std::string> &args, CommonFlags &flags) {
         return false;
       flags.maxInflight = static_cast<std::size_t>(std::max(0LL, integer));
     } else if (a == "--drain-timeout") {
-      if (!numericFlag(args, i, real))
+      if (!secondsFlag<std::uint32_t>(args, i, real))
         return false;
       flags.drainTimeoutSeconds = std::max(0.0, real);
     } else if (a == "--metrics-file") {
@@ -463,11 +482,11 @@ bool parseFlags(std::vector<std::string> &args, CommonFlags &flags) {
         return false;
       flags.shardCount = static_cast<std::size_t>(std::max(0LL, integer));
     } else if (a == "--lease-timeout") {
-      if (!numericFlag(args, i, real))
+      if (!secondsFlag<std::uint32_t>(args, i, real))
         return false;
       flags.leaseTimeoutSeconds = std::max(0.05, real);
     } else if (a == "--connect-timeout") {
-      if (!numericFlag(args, i, real))
+      if (!secondsFlag<int>(args, i, real))
         return false;
       flags.connectTimeoutSeconds = std::max(0.05, real);
     } else if (a == "--busy-retries") {

@@ -554,20 +554,40 @@ TEST(CliFlags, NumericValuesAreParsedStrictly) {
     args.push_back(value);
     return args;
   };
-  const struct {
+  const std::string none = (dir.path / "none.sock").string();
+  struct Case {
     std::vector<std::string> args;
     std::string diagnostic;
-  } cases[] = {
+  };
+  std::vector<Case> cases = {
       {{"analyze", "@fig5", "--threads", "abc"},
        "--threads: invalid value 'abc'"},
       {{"analyze", "@fig5", "--threads", ""}, "--threads: invalid value ''"},
       {with(simulate, "1x"), "--sim-arg: invalid value '1x'"},
       {with(simulate, "sixty"), "--sim-arg: invalid value 'sixty'"},
       {with(simulate, "2.5e"), "--sim-arg: invalid value '2.5e'"},
-      {{"client", "ping", "--socket", (dir.path / "none.sock").string(),
-        "--connect-timeout", "1.5s"},
+      {{"client", "ping", "--socket", none, "--connect-timeout", "1.5s"},
        "--connect-timeout: invalid value '1.5s'"},
   };
+  // A seconds flag is converted to a millisecond count; a value that is
+  // not finite, or whose count does not fit that type, is refused the
+  // same way. Each command fails fast if the value is wrongly accepted:
+  // no daemon listens on none.sock, serve cannot bind in a missing
+  // directory, and coordinate cannot read a missing manifest.
+  const std::string unbindable = (dir.path / "no" / "such.sock").string();
+  const std::string missing = (dir.path / "missing.manifest").string();
+  for (const char *value : {"inf", "nan", "1e7", "1e300", "-inf"}) {
+    const std::string quoted = std::string(" invalid value '") + value + "'";
+    cases.push_back({{"client", "ping", "--socket", none,
+                      "--connect-timeout", value},
+                     "--connect-timeout:" + quoted});
+    cases.push_back({{"serve", "--socket", unbindable, "--drain-timeout",
+                      value},
+                     "--drain-timeout:" + quoted});
+    cases.push_back({{"coordinate", "--manifest", missing, "--workers",
+                      "127.0.0.1:1", "--lease-timeout", value},
+                     "--lease-timeout:" + quoted});
+  }
   for (const auto &c : cases) {
     EXPECT_EQ(runCli(c.args, log), 2) << c.diagnostic;
     const std::string output = readFile(log);
