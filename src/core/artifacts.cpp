@@ -101,8 +101,7 @@ Artifacts analyze(const AnalysisSpec &spec, DiagnosticEngine &diags) {
     // for a no-cache batch).
     auto generated = std::make_shared<model::PerformanceModel>(
         metrics::generateModel(*program->unit, program->sema.callGraph,
-                               *program->bridge, spec.options.metrics, diags,
-                               spec.options.modelPool));
+                               *program->bridge, spec.options.metrics, diags));
     if (diags.hasErrors()) {
       out.diagnostics = diags.str();
       return out;

@@ -25,15 +25,6 @@
 // (spec, diags) tuples are safe. driver::BatchAnalyzer relies on this to
 // fan requests across a thread pool; any future global cache or counter
 // added to the pipeline must be synchronized or per-request.
-//
-// Within one request, the model-generation stage can additionally fan
-// out per source function when MiraOptions::modelPool is set. The
-// TranslationUnit, bridge, and call graph are only read during that
-// stage, and per-function diagnostics merge back in declaration order,
-// so results stay byte-identical to a serial run (see
-// metrics::generateModel). modelPool is an execution-strategy knob: it
-// never changes what is computed, and cache keys (driver::requestKey)
-// deliberately ignore it.
 #pragma once
 
 #include <memory>
@@ -54,12 +45,6 @@ struct MiraOptions {
   metrics::MetricOptions metrics;
   /// Architecture description used for category aggregation/prediction.
   const arch::ArchDescription *arch = &arch::haswellDescription();
-  /// Optional worker pool for within-request per-function model
-  /// generation (non-owning; may be shared across requests but must not
-  /// be the pool the caller itself runs on). Null = serial. Pure
-  /// execution strategy: results are byte-identical either way, and the
-  /// analysis cache key ignores this field.
-  ThreadPool *modelPool = nullptr;
 };
 
 /// A performance model decoded from an artifact payload (the disk cache

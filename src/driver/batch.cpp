@@ -31,11 +31,10 @@ std::uint64_t requestKeyFromContentHash(std::uint64_t contentHash,
                                         const core::MiraOptions &o) {
   // Tripwire: adding a field to either options struct changes its size;
   // update the fingerprint below (and the driver_test key tests), then
-  // adjust these expected sizes. Execution-strategy fields of
-  // MiraOptions (modelPool), the artifact mask, simulation arguments,
-  // and everything in BatchOptions must stay OUT of the key: they never
-  // change what the pipeline computes, and hashing them would make the
-  // on-disk cache miss across equivalent configurations.
+  // adjust these expected sizes. The artifact mask, simulation
+  // arguments and everything in BatchOptions must stay OUT of the key:
+  // they never change what the pipeline computes, and hashing them would
+  // make the on-disk cache miss across equivalent configurations.
   static_assert(sizeof(mir::CompilerOptions) == 2 &&
                     sizeof(metrics::MetricOptions) == 1,
                 "options gained a field: requestKey must hash it too");
@@ -427,8 +426,6 @@ BatchAnalyzer::BatchAnalyzer(BatchOptions options)
       coverage_from_cache_(
           metrics_->counter("analyzer_coverage_from_cache_total")),
       recompiles_(metrics_->counter("analyzer_recompiles_total")) {
-  if (options_.modelThreads > 1)
-    model_pool_ = std::make_unique<ThreadPool>(options_.modelThreads);
   if (options_.useCache && !options_.cacheDir.empty())
     disk_ = std::make_unique<CacheStore>(options_.cacheDir,
                                          options_.cacheBytesLimit);
@@ -438,9 +435,6 @@ BatchAnalyzer::BatchAnalyzer(BatchOptions options)
   core::MetricsRegistry::Counter &poolExceptions =
       metrics_->counter("pool_task_exceptions_total");
   pool_.setExceptionHandler([&poolExceptions] { poolExceptions.increment(); });
-  if (model_pool_)
-    model_pool_->setExceptionHandler(
-        [&poolExceptions] { poolExceptions.increment(); });
 }
 
 std::size_t BatchAnalyzer::cacheSize() const {
@@ -480,8 +474,6 @@ BatchAnalyzer::computeValue(const core::AnalysisSpec &spec) {
       full.artifacts = (spec.artifacts & ~core::kArtifactSimulation) |
                        core::kArtifactDiagnostics;
     }
-    if (model_pool_)
-      full.options.modelPool = model_pool_.get();
     DiagnosticEngine diags;
     core::Artifacts artifacts = core::analyze(full, diags);
     value.diagnostics = std::move(artifacts.diagnostics);

@@ -60,10 +60,6 @@ struct BatchOptions {
   /// LRU byte cap for the disk level (0 = unlimited). See
   /// support/cache_store.h for the eviction policy.
   std::uint64_t cacheBytesLimit = 0;
-  /// Threads for within-request per-function model generation (1 =
-  /// serial). When >1 the analyzer owns a second, dedicated pool shared
-  /// by all requests; results are byte-identical either way.
-  std::size_t modelThreads = 1;
   /// Registry the analyzer's lifetime counters register in (non-owning;
   /// must outlive the analyzer). Null = the analyzer owns a private
   /// registry, reachable through BatchAnalyzer::metrics(). The serving
@@ -389,7 +385,6 @@ private:
 
   BatchOptions options_;
   ThreadPool pool_;
-  std::unique_ptr<ThreadPool> model_pool_; // within-request fan-out
   std::unique_ptr<CacheStore> disk_;
   BatchStats stats_;
 

@@ -1,12 +1,11 @@
 // mira-cli: command-line front door to the analysis pipeline.
 //
 //   mira-cli analyze <file.mc | @workload> [--no-optimize] [--no-vectorize]
-//            [--emit-python] [--model-threads N] [--cache-dir DIR]
+//            [--emit-python] [--cache-dir DIR]
 //       Run the full pipeline on one source, print a model summary.
 //
 //   mira-cli batch <files/@workloads...> [--threads N] [--no-cache]
-//            [--compare-serial] [--model-threads N]
-//            [--cache-dir DIR] [--cache-limit BYTES]
+//            [--compare-serial] [--cache-dir DIR] [--cache-limit BYTES]
 //            [--manifest FILE [--since OLD] [--shard I/N] [--root DIR]]
 //            [--report FILE]
 //       Fan many sources across the thread pool; per-source status table,
@@ -52,9 +51,9 @@
 //       can produce (union over manifests and all option-flag combos).
 //
 //   mira-cli serve [--socket PATH] [--listen HOST:PORT] [--secret S]
-//            [--threads N] [--model-threads N]
-//            [--cache-dir DIR] [--cache-limit BYTES] [--max-inflight N]
-//            [--drain-timeout SECONDS] [--metrics-file PATH]
+//            [--threads N] [--cache-dir DIR] [--cache-limit BYTES]
+//            [--max-inflight N] [--drain-timeout SECONDS]
+//            [--metrics-file PATH]
 //       Long-lived analysis daemon on a Unix-domain socket and/or a TCP
 //       endpoint (--listen, port 0 = kernel-assigned, printed in the
 //       readiness line): the in-memory cache stays hot across requests,
@@ -149,10 +148,9 @@ int usage(const char *argv0) {
       "usage: %s <analyze|batch|coverage|simulate|manifest|cache|serve|"
       "client|coordinate> [args]\n"
       "  analyze <file.mc|@workload> [--no-optimize] [--no-vectorize]\n"
-      "          [--emit-python] [--model-threads N] [--cache-dir DIR]\n"
+      "          [--emit-python] [--cache-dir DIR]\n"
       "  batch <files/@workloads...> [--threads N] [--no-cache]\n"
-      "          [--compare-serial] [--model-threads N]\n"
-      "          [--cache-dir DIR] [--cache-limit BYTES]\n"
+      "          [--compare-serial] [--cache-dir DIR] [--cache-limit BYTES]\n"
       "          [--manifest FILE [--since OLD] [--shard I/N] [--root DIR]]\n"
       "          [--report FILE]\n"
       "  coverage [sources...] [--threads N] [--compare-serial]\n"
@@ -164,9 +162,9 @@ int usage(const char *argv0) {
       "  manifest merge --out FILE <reports...>\n"
       "  cache <stats|clear|prune> --cache-dir DIR [--manifest FILE]...\n"
       "  serve [--socket PATH] [--listen HOST:PORT] [--secret S]\n"
-      "          [--threads N] [--model-threads N]\n"
-      "          [--cache-dir DIR] [--cache-limit BYTES] [--max-inflight N]\n"
-      "          [--drain-timeout SECONDS] [--metrics-file PATH]\n"
+      "          [--threads N] [--cache-dir DIR] [--cache-limit BYTES]\n"
+      "          [--max-inflight N] [--drain-timeout SECONDS]\n"
+      "          [--metrics-file PATH]\n"
       "  client <analyze|batch|coverage|simulate|manifest-diff|cache-stats|\n"
       "          metrics|ping|shutdown> (--socket PATH | --connect HOST:PORT)\n"
       "          [--secret S] [--connect-timeout SECONDS] [--busy-retries N]\n"
@@ -247,7 +245,6 @@ struct CommonFlags {
   bool optimize = true;
   bool vectorize = true;
   bool emitPython = false;
-  std::size_t modelThreads = 1;
   std::string cacheDir;
   std::uint64_t cacheBytesLimit = 0;
   std::string socketPath;
@@ -368,10 +365,6 @@ bool parseFlags(std::vector<std::string> &args, CommonFlags &flags) {
       if (!numericFlag(args, i, integer))
         return false;
       flags.threads = static_cast<std::size_t>(std::max(1LL, integer));
-    } else if (a == "--model-threads") {
-      if (!numericFlag(args, i, integer))
-        return false;
-      flags.modelThreads = static_cast<std::size_t>(std::max(1LL, integer));
     } else if (a == "--cache-dir") {
       if (i + 1 == args.size()) {
         std::fprintf(stderr, "--cache-dir requires a value\n");
@@ -558,7 +551,6 @@ driver::BatchOptions batchOptionsFor(const CommonFlags &flags,
   if (withDiskCache)
     options.cacheDir = flags.cacheDir;
   options.cacheBytesLimit = flags.cacheBytesLimit;
-  options.modelThreads = flags.modelThreads;
   return options;
 }
 
@@ -846,7 +838,7 @@ bool printOutcomes(const std::vector<core::Artifacts> &results,
 }
 
 /// In-process: a fresh driver::BatchAnalyzer per run, configured by the
-/// flags (--threads, --cache-dir, --cache-limit, --model-threads, ...).
+/// flags (--threads, --cache-dir, --cache-limit, ...).
 class LocalBackend final : public Backend {
 public:
   explicit LocalBackend(const CommonFlags &flags) : flags_(flags) {}
@@ -854,8 +846,7 @@ public:
   const char *tag() const override { return ""; }
 
   int one(const core::AnalysisSpec &spec, core::Artifacts &result) override {
-    // One request: the batch pool is a single thread, but --model-threads
-    // still fans out per-function model generation. The cache only
+    // One request: the batch pool is a single thread. The cache only
     // matters as the disk level, and --no-cache still wins over
     // --cache-dir.
     driver::BatchOptions options = batchOptionsFor(flags_, 1);
@@ -1571,7 +1562,6 @@ int cmdServe(std::vector<std::string> args) {
   }
   options.secret = flags.secret;
   options.threads = flags.threads;
-  options.modelThreads = flags.modelThreads;
   options.cacheDir = flags.cacheDir;
   options.cacheBytesLimit = flags.cacheBytesLimit;
   options.maxInflight = flags.maxInflight;

@@ -23,7 +23,6 @@
 #include "model/model.h"
 #include "sema/sema.h"
 #include "support/diagnostics.h"
-#include "support/thread_pool.h"
 
 namespace mira::metrics {
 
@@ -35,22 +34,10 @@ struct MetricOptions {
 
 /// Generate the performance model for every function of the program.
 /// `bridge` must come from the same compile as `unit`.
-///
-/// When `pool` is non-null (and has more than one thread), per-function
-/// modeling fans out across it; each function gets a private
-/// DiagnosticEngine and the results are merged back in declaration order,
-/// so the returned model and the diagnostics appended to `diags` are
-/// byte-identical to the serial walk regardless of thread count. The
-/// pool may be shared with other concurrent analyses: this function
-/// waits on per-task futures, never on pool idleness. It must NOT be the
-/// pool the calling task itself runs on — if every worker of that pool
-/// blocked here, the queued function tasks could never start
-/// (driver::BatchAnalyzer therefore keeps a separate model pool).
 model::PerformanceModel generateModel(const frontend::TranslationUnit &unit,
                                       const sema::CallGraph &callGraph,
                                       const bridge::ProgramBridge &bridge,
                                       const MetricOptions &options,
-                                      DiagnosticEngine &diags,
-                                      ThreadPool *pool = nullptr);
+                                      DiagnosticEngine &diags);
 
 } // namespace mira::metrics

@@ -136,15 +136,13 @@ AnalysisServer::AnalysisServer(ServerOptions options)
           metrics_.counter("server_manifest_batch_cancelled_total")) {
   driver::BatchOptions batchOptions;
   // Batch requests fan their items across the analyzer's own pool
-  // (analyzeArtifactsMany), so size it like the compute pool. modelThreads
-  // additionally fans out per-function model generation inside one
-  // request. The analyzer registers its lifetime counters in the
-  // daemon's registry so one scrape covers both layers.
+  // (analyzeArtifactsMany), so size it like the compute pool. The
+  // analyzer registers its lifetime counters in the daemon's registry so
+  // one scrape covers both layers.
   batchOptions.threads = options_.threads;
   batchOptions.useCache = true;
   batchOptions.cacheDir = options_.cacheDir;
   batchOptions.cacheBytesLimit = options_.cacheBytesLimit;
-  batchOptions.modelThreads = options_.modelThreads;
   batchOptions.metrics = &metrics_;
   analyzer_ = std::make_unique<driver::BatchAnalyzer>(batchOptions);
   sessions_ = std::make_unique<ThreadPool>(options_.threads);

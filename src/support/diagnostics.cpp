@@ -35,11 +35,6 @@ void DiagnosticEngine::report(DiagSeverity severity, SourceLocation loc,
   diagnostics_.push_back(Diagnostic{severity, loc, std::move(message)});
 }
 
-void DiagnosticEngine::append(const DiagnosticEngine &other) {
-  for (const Diagnostic &d : other.diagnostics_)
-    report(d.severity, d.location, d.message);
-}
-
 bool DiagnosticEngine::containsMessage(const std::string &substring) const {
   for (const Diagnostic &d : diagnostics_)
     if (d.message.find(substring) != std::string::npos)

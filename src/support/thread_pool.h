@@ -1,10 +1,9 @@
 /// \file
 /// Fixed-size worker pool with a shared task queue.
 ///
-/// The batch driver fans analysis requests across this pool, and
-/// metric generation fans per-function modeling across a second one
-/// (metrics::generateModel); anything else that needs coarse-grained
-/// parallelism (workload sweeps, future pass pipelines) should reuse it
+/// The batch driver fans analysis requests across this pool, and the
+/// serving daemon runs its sessions and compute on two more; anything
+/// else that needs coarse-grained parallelism (workload sweeps, future pass pipelines) should reuse it
 /// instead of spawning ad-hoc threads. Tasks are plain
 /// std::function<void()>; results travel through whatever the caller
 /// captured (promises, pre-sized output slots).
@@ -27,8 +26,8 @@ namespace mira {
 /// Nested-pool etiquette: a task running on pool A may submit to and
 /// block on futures from pool B, but must never block on work queued to
 /// its own pool — if every A-worker did so, the queued tasks could
-/// never start. This is why BatchAnalyzer keeps a separate model pool
-/// for within-request parallelism.
+/// never start. This is why the daemon's session readers, compute
+/// workers and analyzer each own a separate pool.
 class ThreadPool {
 public:
   /// Spawns `threads` workers (clamped to at least 1).

@@ -12,19 +12,21 @@
 // never to string building.
 //
 // Scoping: an interner is installed for the current thread with an RAII
-// Scope. The driver installs one per compile (core::analyze) and the
-// per-function model tasks re-enter the same compile's interner on their
-// pool threads, so a compile's node churn is confined to one arena that
-// dies with the request instead of fragmenting the global heap. Code
-// running outside any scope (tests, ad-hoc Expr math) falls back to a
-// thread-local default interner. Because a node's canonical form caches
-// its order key, parameter and bound-variable name strings are stored
-// once per unique node — name interning falls out of node interning.
+// Scope. The driver installs one per compile (core::analyze), and the
+// whole pipeline, model walk included, runs on that thread, so a
+// compile's node churn is confined to one arena that dies with the
+// request instead of fragmenting the global heap. Code running outside
+// any scope (tests, ad-hoc Expr math) falls back to a thread-local
+// default interner. Because a node's canonical form caches its order
+// key, parameter and bound-variable name strings are stored once per
+// unique node — name interning falls out of node interning.
 //
 // Thread-safety: intern() is internally synchronized (one mutex per
-// interner), so a per-compile interner may be shared by the model pool's
-// worker tasks. The returned nodes are immutable and shared_ptr-owned:
-// they outlive the interner wherever models still reference them.
+// interner), so one interner may be installed in Scopes on several
+// threads at once. The pipeline uses each per-compile interner from one
+// thread only, so there the lock is never contended. The returned nodes
+// are immutable and shared_ptr-owned: they outlive the interner wherever
+// models still reference them.
 //
 // Counters: process-wide hit/miss/node tallies are exported as
 // mira_intern_{hits,misses,nodes} through core::MetricsRegistry (a batch
